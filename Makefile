@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check race bench bench-quick bench-multicore fleet-soak profile serve
+.PHONY: build test check race bench bench-quick bench-multicore bench-suite fleet-soak profile serve
 
 build:
 	$(GO) build ./...
@@ -52,6 +52,16 @@ bench-quick:
 	@echo "wrote BENCH_portfolio.json"
 	BENCH_STORE_JSON=$(CURDIR)/BENCH_store.json $(GO) test -run TestWriteStoreBenchJSON -v ./internal/store/
 	@echo "wrote BENCH_store.json"
+
+# One 30-second run of the verifier benchmark (the bench/ module, see
+# bench/README.md): builds the daemons and the benchmark into
+# .bench_build/ and prints the end-to-end metrics as JSON on the last line.
+#   make bench-suite WORKLOAD=synth-wide SEED=3
+WORKLOAD ?= real-suite
+SEED ?= 1
+
+bench-suite:
+	bash bench/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds 30 --trace 0
 
 # Multicore scaling gate (CI bench-multicore job): the relaxed
 # partitioned exploration must reach >= 1.5x at workers=4 on a host

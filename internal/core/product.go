@@ -302,23 +302,18 @@ func (p *product) Accelerate(ancestor, s vass.State) (vass.State, bool) {
 	return &PState{PSI: symbolic.NewPSI(y.PSI.Tau, bags, y.PSI.Mask), Node: y.Node, Closed: y.Closed}, true
 }
 
-// IndexSet implements vass.System: the variable type's canonical edges
-// plus sentinels for the Büchi node, child mask and closed flag (which all
-// require equality under every order).
-func (p *product) IndexSet(s vass.State) []uint64 {
+// IndexSet implements vass.System. Every order requires equal Büchi nodes,
+// closed flags and child masks, so they make the class: the node in the
+// top 31 bits, the closed flag in bit 32 and the mask in the low 32 bits.
+// The set is the variable type's canonical edge set, shared and not
+// copied: I ⪯ I' (and I ≤ I') implies τ |= τ', that is E(τ') ⊆ E(τ).
+func (p *product) IndexSet(s vass.State) (uint64, []uint64) {
 	ps := s.(*PState)
-	edges := ps.PSI.Tau.Edges()
-	out := make([]uint64, 0, len(edges)+3)
-	out = append(out, edges...)
-	// Sentinels sort above all edges, in ascending order.
-	closed := uint64(0)
+	class := uint64(uint32(ps.Node))<<33 | uint64(ps.PSI.Mask)
 	if ps.Closed {
-		closed = 1
+		class |= 1 << 32
 	}
-	out = append(out, 1<<61|closed)
-	out = append(out, 1<<62|uint64(ps.Node))
-	out = append(out, 1<<63|uint64(ps.PSI.Mask))
-	return out
+	return class, ps.PSI.Tau.Edges()
 }
 
 // StateBytes implements vass.Sized: the estimated unique retained bytes

@@ -94,7 +94,7 @@ func rrClassical(ctx context.Context, ts *symbolic.TaskSystem, buchi *ltl.Buchi,
 		}
 		return nil, stats, stopVerdict(err), nil
 	}
-	return cycleViolation(ts, prod, tree.Active()), stats, VerdictUnknown, nil
+	return cycleViolation(ts, prod, tree.Active(), !opts.NoIndexes), stats, VerdictUnknown, nil
 }
 
 // rrAggressive: the Appendix C second phase with ⪯+ pruning, no
@@ -132,7 +132,7 @@ func rrAggressive(ctx context.Context, ts *symbolic.TaskSystem, buchi *ltl.Buchi
 		}
 		return nil, stats, stopVerdict(err), nil
 	}
-	return cycleViolation(ts, prod, tree.Active()), stats, VerdictUnknown, nil
+	return cycleViolation(ts, prod, tree.Active(), !opts.NoIndexes), stats, VerdictUnknown, nil
 }
 
 // stopVerdict maps a non-cancellation Explore error to the terminal
@@ -146,9 +146,11 @@ func stopVerdict(err error) Verdict {
 }
 
 // cycleViolation extracts an accepting state on a cycle of the
-// coverability graph, if any, and builds the counterexample lasso.
-func cycleViolation(ts *symbolic.TaskSystem, prod *product, active []*vass.Node) *Violation {
-	cyc := vass.CycleNodes(prod, active)
+// coverability graph, if any, and builds the counterexample lasso. Without
+// useIndex (Options.NoIndexes) the graph is built by an all-pairs scan.
+func cycleViolation(ts *symbolic.TaskSystem, prod *product, active []*vass.Node, useIndex bool) *Violation {
+	g := vass.NewCoverGraph(prod, active, useIndex)
+	cyc := g.CycleNodes()
 	// Scan in tree order, not map order: the extracted lasso must be
 	// the same on every run (and for every Options.Workers value), and
 	// ranging over the pointer-keyed set rotates it randomly.
@@ -157,7 +159,7 @@ func cycleViolation(ts *symbolic.TaskSystem, prod *product, active []*vass.Node)
 			continue
 		}
 		v := &Violation{Kind: "cycle", Prefix: tracePath(ts, n)}
-		for _, label := range vass.CycleWitness(prod, active, n) {
+		for _, label := range g.CycleWitness(n) {
 			if l, ok := label.(Label); ok {
 				v.Cycle = append(v.Cycle, Step{Service: l.Ref})
 			}

@@ -100,6 +100,58 @@ func TestPisotypeMiscMethods(t *testing.T) {
 	}
 }
 
+// TestPisotypeStringDeterministic checks that the rendering of ≠ pairs
+// does not depend on map iteration order: witnesses print it, and the
+// daemon returns and persists them.
+func TestPisotypeStringDeterministic(t *testing.T) {
+	u := testUniverse(t)
+	x, y, z := root(t, u, "x"), root(t, u, "y"), root(t, u, "z")
+	uu, v := root(t, u, "u"), root(t, u, "v")
+	c1 := konst(t, u, "c1")
+	tau := NewPisotype(u, nil)
+	for _, p := range [][2]ExprID{{x, y}, {z, x}, {y, z}, {uu, c1}, {c1, v}, {v, uu}} {
+		if !tau.AddNeq(p[0], p[1]) {
+			t.Fatalf("AddNeq(%v, %v) inconsistent", p[0], p[1])
+		}
+	}
+	want := tau.String()
+	for i := 0; i < 50; i++ {
+		if got := tau.String(); got != want {
+			t.Fatalf("String() = %s, earlier %s", got, want)
+		}
+		if got := tau.Clone().String(); got != want {
+			t.Fatalf("Clone().String() = %s, original %s", got, want)
+		}
+	}
+}
+
+// skipEqFilter skips exactly the =-edge between a and b.
+type skipEqFilter struct{ a, b ExprID }
+
+func (f skipEqFilter) SkipEq(a, b ExprID) bool {
+	return (a == f.a && b == f.b) || (a == f.b && b == f.a)
+}
+
+func (skipEqFilter) SkipNeq(a, b ExprID) bool { return false }
+
+// TestAddEqSortClashFilteredNull equates classes of different sorts, which
+// forces both to null, with a filter that skips the first side's equality
+// with null: AddEq must terminate and still record the other side's.
+func TestAddEqSortClashFilteredNull(t *testing.T) {
+	u := testUniverse(t)
+	x, uu := root(t, u, "x"), root(t, u, "u") // R.ID and val
+	tau := NewPisotype(u, skipEqFilter{x, u.NullExpr})
+	if !tau.AddEq(x, uu) {
+		t.Fatal("AddEq reported an inconsistency")
+	}
+	if !tau.Eq(uu, u.NullExpr) {
+		t.Errorf("u = null not recorded: %s", tau)
+	}
+	if tau.Eq(x, u.NullExpr) {
+		t.Errorf("the filtered x = null was recorded: %s", tau)
+	}
+}
+
 func TestPSIString(t *testing.T) {
 	u := slotUniverse(t)
 	p := root(t, u, "p")

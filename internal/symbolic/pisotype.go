@@ -1,7 +1,6 @@
 package symbolic
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 
@@ -223,6 +222,12 @@ func (t *Pisotype) AddEq(a, b ExprID) bool {
 	if oka && okb && sa != sb {
 		if !t.AddEq(a, t.u.NullExpr) {
 			return false
+		}
+		if !t.classHasNull(t.find(a)) {
+			// The filter skipped a = null, so the sorts still clash and a
+			// retry would recurse forever. What remains of a = b is
+			// b = null, which cannot clash.
+			return t.AddEq(b, t.u.NullExpr)
 		}
 		// The class of a now contains null; retry (no clash possible).
 		return t.AddEq(a, b)
@@ -710,7 +715,13 @@ func (t *Pisotype) String() string {
 				continue
 			}
 			seen[code] = true
-			parts = append(parts, fmt.Sprintf("%s!=%s", t.u.ExprString(ra), t.u.ExprString(rb)))
+			// Map iteration meets each pair from either side: order the
+			// sides so the rendering is the same on every call.
+			x, y := t.u.ExprString(ra), t.u.ExprString(rb)
+			if y < x {
+				x, y = y, x
+			}
+			parts = append(parts, x+"!="+y)
 		}
 	}
 	sort.Strings(parts)

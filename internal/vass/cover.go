@@ -1,43 +1,102 @@
 package vass
 
+import "sort"
+
 // Coverability-graph analysis used for repeated reachability (paper
 // Sections 3.3 and 3.8): the transition graph among the coverability set's
 // states, whose non-trivial strongly connected components identify the
 // repeatedly reachable symbolic states.
 
-// CycleNodes returns the subset of the given nodes contained in a
-// non-trivial cycle of the coverability graph, whose edges are
-// I → J  iff  ∃s ∈ succ(I): s ≤ J (J covers the successor), with ≤ the
-// system's order. A self-loop counts as a cycle.
-func CycleNodes(sys System, nodes []*Node) map[*Node]bool {
-	n := len(nodes)
-	adj := make([][]int, n)
-	idxOf := map[*Node]int{}
-	for i, nd := range nodes {
-		idxOf[nd] = i
+// CoverGraph is the coverability graph over a set of nodes, whose edges
+// are I → J  iff  ∃s ∈ succ(I): s ≤ J (J covers the successor), with ≤
+// the system's order. It is built once and serves both CycleNodes and
+// CycleWitness.
+type CoverGraph struct {
+	nodes []*Node
+	pos   map[*Node]int
+	// out[i] holds the edges of nodes[i]: for each successor in
+	// Successors order, every covering node by ascending position. A node
+	// covering several successors appears once per successor, each time
+	// with that successor's label.
+	out [][]coverEdge
+}
+
+type coverEdge struct {
+	to    int
+	label any
+}
+
+// NewCoverGraph builds the coverability graph over nodes, computing each
+// node's successors once. With useIndex, the covering candidates of a
+// successor come from a per-class set index (see System.IndexSet) and
+// are confirmed by Leq; without it every node is tested. Both give the
+// same edges in the same order.
+func NewCoverGraph(sys System, nodes []*Node, useIndex bool) *CoverGraph {
+	g := &CoverGraph{
+		nodes: nodes,
+		pos:   make(map[*Node]int, len(nodes)),
+		out:   make([][]coverEdge, len(nodes)),
 	}
 	for i, nd := range nodes {
-		seen := map[int]bool{}
+		g.pos[nd] = i
+	}
+	var idx *classIndex
+	if useIndex {
+		idx = newClassIndex()
+		for i, nd := range nodes {
+			class, set := sys.IndexSet(nd.S)
+			idx.insert(i, class, set)
+		}
+	}
+	var cands []int
+	for i, nd := range nodes {
 		for _, sc := range sys.Successors(nd.S) {
-			for j, cand := range nodes {
-				if !seen[j] && sys.Leq(sc.S, cand.S) {
-					seen[j] = true
-					adj[i] = append(adj[i], j)
+			cands = coverCandidates(sys, idx, len(nodes), sc.S, cands[:0])
+			for _, j := range cands {
+				if sys.Leq(sc.S, nodes[j].S) {
+					g.out[i] = append(g.out[i], coverEdge{to: j, label: sc.Label})
 				}
 			}
 		}
 	}
-	sccID, sccSize := tarjanSCC(adj)
-	selfLoop := make([]bool, n)
-	for i, out := range adj {
-		for _, j := range out {
-			if j == i {
+	return g
+}
+
+// coverCandidates appends to dst, ascending, the positions j that may
+// satisfy s ≤ nodes[j]: the index's subset candidates, or all n positions
+// without an index.
+func coverCandidates(sys System, idx *classIndex, n int, s State, dst []int) []int {
+	if idx == nil {
+		for j := 0; j < n; j++ {
+			dst = append(dst, j)
+		}
+		return dst
+	}
+	class, set := sys.IndexSet(s)
+	idx.anySubset(class, set, func(j int) bool {
+		dst = append(dst, j)
+		return false
+	})
+	sort.Ints(dst)
+	return dst
+}
+
+// CycleNodes returns the nodes contained in a non-trivial cycle of the
+// graph. A self-loop counts as a cycle.
+func (g *CoverGraph) CycleNodes() map[*Node]bool {
+	adj := make([][]int, len(g.nodes))
+	selfLoop := make([]bool, len(g.nodes))
+	for i, edges := range g.out {
+		for _, e := range edges {
+			adj[i] = append(adj[i], e.to)
+			if e.to == i {
 				selfLoop[i] = true
 			}
 		}
 	}
+	sccID, sccSize := tarjanSCC(adj)
 	out := map[*Node]bool{}
-	for i, nd := range nodes {
+	for i, nd := range g.nodes {
 		if sccSize[sccID[i]] > 1 || selfLoop[i] {
 			out[nd] = true
 		}
@@ -48,29 +107,12 @@ func CycleNodes(sys System, nodes []*Node) map[*Node]bool {
 // CycleWitness returns, for a node known to lie on a cycle, the labels of
 // one cycle through it (for counterexample display). Returns nil if no
 // cycle is found (should not happen for nodes reported by CycleNodes).
-func CycleWitness(sys System, nodes []*Node, start *Node) []any {
-	type edge struct {
-		to    int
-		label any
-	}
-	idxOf := map[*Node]int{}
-	for i, nd := range nodes {
-		idxOf[nd] = i
-	}
-	si, ok := idxOf[start]
+func (g *CoverGraph) CycleWitness(start *Node) []any {
+	si, ok := g.pos[start]
 	if !ok {
 		return nil
 	}
-	adj := make([][]edge, len(nodes))
-	for i, nd := range nodes {
-		for _, sc := range sys.Successors(nd.S) {
-			for j, cand := range nodes {
-				if sys.Leq(sc.S, cand.S) {
-					adj[i] = append(adj[i], edge{to: j, label: sc.Label})
-				}
-			}
-		}
-	}
+	adj := g.out
 	// BFS from start's successors back to start.
 	type crumb struct {
 		node  int
@@ -78,7 +120,7 @@ func CycleWitness(sys System, nodes []*Node, start *Node) []any {
 		label any
 	}
 	var crumbs []crumb
-	seen := make([]bool, len(nodes))
+	seen := make([]bool, len(g.nodes))
 	var queue []int
 	for _, e := range adj[si] {
 		crumbs = append(crumbs, crumb{node: e.to, prev: -1, label: e.label})

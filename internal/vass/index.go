@@ -2,41 +2,47 @@ package vass
 
 import "verifas/internal/setindex"
 
-// actIndex adapts setindex to the tree: it maps index ids to nodes. All
-// nodes are indexed (including deactivated ones — the pruning rule also
-// consults dominated inactive nodes); activity is filtered by callers.
-type actIndex struct {
-	idx   *setindex.Index
-	nodes []*Node
+// classIndex adapts setindex to the searches: it keeps one set index per
+// equality class (see System.IndexSet) and maps each class's dense index
+// ids back to caller ids (tree node IDs for the exploration, positions in
+// the node slice for the coverability graph). Leq never relates states of
+// different classes, so a query touches only its own class, and a class
+// with nothing stored answers at once.
+type classIndex struct {
+	classes map[uint64]*classSets
 }
 
-func newActIndex() *actIndex {
-	return &actIndex{idx: setindex.New()}
+// classSets is the set index of one equality class.
+type classSets struct {
+	idx *setindex.Index
+	ids []int
 }
 
-func (a *actIndex) insert(n *Node, set []uint64) {
-	id := len(a.nodes)
-	a.nodes = append(a.nodes, n)
-	a.idx.Insert(id, set)
+func newClassIndex() *classIndex {
+	return &classIndex{classes: map[uint64]*classSets{}}
 }
 
-// subsetCandidates returns nodes whose indexed set is a subset of q —
-// candidates for dominating the query state.
-func (a *actIndex) subsetCandidates(q []uint64) []*Node {
-	ids := a.idx.Subsets(q)
-	out := make([]*Node, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, a.nodes[id])
+func (x *classIndex) insert(id int, class uint64, set []uint64) {
+	c := x.classes[class]
+	if c == nil {
+		c = &classSets{idx: setindex.New()}
+		x.classes[class] = c
 	}
-	return out
+	c.idx.Insert(len(c.ids), set)
+	c.ids = append(c.ids, id)
 }
 
-// anySubsetCandidate streams subset candidates until pred returns true,
-// reporting whether it did (early-exit existence check).
-func (a *actIndex) anySubsetCandidate(q []uint64, pred func(*Node) bool) bool {
+// anySubset streams the ids of the class's entries whose indexed set is a
+// subset of q until pred returns true, reporting whether it did
+// (early-exit existence check).
+func (x *classIndex) anySubset(class uint64, q []uint64, pred func(id int) bool) bool {
+	c := x.classes[class]
+	if c == nil {
+		return false
+	}
 	found := false
-	a.idx.SubsetsSeq(q, func(id int) bool {
-		if pred(a.nodes[id]) {
+	c.idx.SubsetsSeq(q, func(i int) bool {
+		if pred(c.ids[i]) {
 			found = true
 			return false
 		}
@@ -45,13 +51,16 @@ func (a *actIndex) anySubsetCandidate(q []uint64, pred func(*Node) bool) bool {
 	return found
 }
 
-// supersetCandidates returns nodes whose indexed set is a superset of q —
-// candidates for being dominated by the query state.
-func (a *actIndex) supersetCandidates(q []uint64) []*Node {
-	ids := a.idx.Supersets(q)
-	out := make([]*Node, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, a.nodes[id])
+// supersets returns the ids of the class's entries whose indexed set is a
+// superset of q.
+func (x *classIndex) supersets(class uint64, q []uint64) []int {
+	c := x.classes[class]
+	if c == nil {
+		return nil
 	}
-	return out
+	ids := c.idx.Supersets(q)
+	for i, id := range ids {
+		ids[i] = c.ids[id]
+	}
+	return ids
 }

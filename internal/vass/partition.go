@@ -94,8 +94,8 @@ func exploreRelaxed(sys System, opts Options) (*Tree, error) {
 	}
 	e := &explorer{sys: sys, opts: opts, tree: &Tree{}, byKey: map[uint64][]*Node{}}
 	e.sized, _ = sys.(Sized)
-	if opts.UseIndex {
-		e.idx = newActIndex()
+	if opts.UseIndex && opts.Prune {
+		e.idx = newClassIndex()
 	}
 	e.budget = &budgetPool{limit: opts.MaxMemBytes}
 

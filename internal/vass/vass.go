@@ -37,9 +37,13 @@ type System interface {
 	// (the accel operator), and whether anything changed. Implementations
 	// may return s unchanged.
 	Accelerate(ancestor, s State) (State, bool)
-	// IndexSet returns the edge set used by the subset/superset indexes,
-	// or nil to disable indexing for this state.
-	IndexSet(s State) []uint64
+	// IndexSet returns the state's equality class and the sorted,
+	// duplicate-free set the subset/superset indexes store under it. The
+	// indexes rely on Leq(a, b) implying equal classes and, within the
+	// class, set(b) ⊆ set(a); they do not retain the slice. A nil set is
+	// stored as the empty set, which every query of its class returns as
+	// a candidate.
+	IndexSet(s State) (class uint64, set []uint64)
 }
 
 // Node is a node of the Karp-Miller tree. Nodes are allocated in
@@ -120,7 +124,8 @@ type Options struct {
 	// Accelerate enables the ω-acceleration operator.
 	Accelerate bool
 	// UseIndex enables the Trie/inverted-list candidate indexes for act
-	// maintenance (paper Section 3.6).
+	// maintenance (paper Section 3.6). Only the pruning queries use them,
+	// so without Prune it has no effect.
 	UseIndex bool
 	// MaxStates aborts the search after creating this many nodes
 	// (0 = unlimited).
@@ -289,8 +294,8 @@ func Explore(sys System, opts Options) (*Tree, error) {
 	}
 	e := &explorer{sys: sys, opts: opts, tree: &Tree{}, byKey: map[uint64][]*Node{}}
 	e.sized, _ = sys.(Sized)
-	if opts.UseIndex {
-		e.idx = newActIndex()
+	if opts.UseIndex && opts.Prune {
+		e.idx = newClassIndex()
 	}
 	e.budget = &budgetPool{limit: opts.MaxMemBytes}
 	if opts.Workers > 1 {
@@ -395,8 +400,9 @@ type explorer struct {
 	opts  Options
 	tree  *Tree
 	byKey map[uint64][]*Node
-	idx   *actIndex
-	stop  bool
+	// idx indexes every node by its ID (nil without UseIndex and Prune).
+	idx  *classIndex
+	stop bool
 	// arena block-allocates the tree's nodes.
 	arena nodeArena
 	// sized is non-nil when the System reports per-state byte estimates.
@@ -472,9 +478,14 @@ func (e *explorer) accelerate(parent *Node, s State) State {
 func (e *explorer) newNode(s State, label any, parent *Node) *Node {
 	var key uint64
 	keyed := false
+	var class uint64
+	var set []uint64
+	if e.idx != nil {
+		class, set = e.sys.IndexSet(s)
+	}
 	if e.opts.Prune {
 		// Skip if dominated by an active node.
-		if e.dominatedByActive(s) {
+		if e.dominatedByActive(s, class, set) {
 			e.tree.Skipped++
 			return nil
 		}
@@ -482,7 +493,7 @@ func (e *explorer) newNode(s State, label any, parent *Node) *Node {
 		// m is active or m is not an ancestor of the new node. (An
 		// active ancestor is deactivated too; the new node itself is
 		// added active below, exactly as in Reynier-Servais.)
-		for _, m := range e.smallerCandidates(s) {
+		for _, m := range e.smallerCandidates(class, set) {
 			if !e.sys.Leq(m.S, s) {
 				continue
 			}
@@ -537,7 +548,7 @@ func (e *explorer) newNode(s State, label any, parent *Node) *Node {
 	}
 	e.byKey[key] = append(e.byKey[key], n)
 	if e.idx != nil {
-		e.idx.insert(n, e.sys.IndexSet(s))
+		e.idx.insert(n.ID, class, set)
 	}
 	if e.opts.OnNode != nil && e.opts.OnNode(n) {
 		e.stop = true
@@ -571,17 +582,18 @@ func (e *explorer) deactivateSubtree(m *Node) {
 }
 
 // dominatedByActive reports whether an active node dominates s. With
-// indexing enabled, candidates are prefiltered by "indexed set of the
-// dominator is a subset of s's" — a necessary condition for s ⪯ m (and for
-// s ≤ m, where the sets are equal).
-func (e *explorer) dominatedByActive(s State) bool {
+// indexing enabled, candidates are prefiltered to s's index class (class,
+// set) and to "indexed set of the dominator is a subset of s's" — a
+// necessary condition for s ≤ m under the System.IndexSet contract.
+func (e *explorer) dominatedByActive(s State, class uint64, set []uint64) bool {
 	for _, d := range e.opts.ExtraDominators {
 		if e.sys.Leq(s, d) {
 			return true
 		}
 	}
 	if e.idx != nil {
-		return e.idx.anySubsetCandidate(e.sys.IndexSet(s), func(m *Node) bool {
+		return e.idx.anySubset(class, set, func(id int) bool {
+			m := e.tree.Nodes[id]
 			return m.Active && e.sys.Leq(s, m.S)
 		})
 	}
@@ -593,12 +605,18 @@ func (e *explorer) dominatedByActive(s State) bool {
 	return false
 }
 
-// smallerCandidates returns nodes that may satisfy m.S ≤ s (superset
-// prefilter). Inactive nodes are included: the pruning rule must also
-// deactivate descendants of already-inactive dominated nodes.
-func (e *explorer) smallerCandidates(s State) []*Node {
-	if e.idx != nil {
-		return e.idx.supersetCandidates(e.sys.IndexSet(s))
+// smallerCandidates returns nodes that may satisfy m.S ≤ s, where (class,
+// set) is s's index class and set (superset prefilter). Inactive nodes are
+// included: the pruning rule must also deactivate descendants of
+// already-inactive dominated nodes.
+func (e *explorer) smallerCandidates(class uint64, set []uint64) []*Node {
+	if e.idx == nil {
+		return e.tree.Nodes
 	}
-	return e.tree.Nodes
+	ids := e.idx.supersets(class, set)
+	out := make([]*Node, len(ids))
+	for i, id := range ids {
+		out[i] = e.tree.Nodes[id]
+	}
+	return out
 }

@@ -1,7 +1,9 @@
 package vass
 
 import (
+	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -154,34 +156,119 @@ func TestQuickPrunedEquivalentToClassic(t *testing.T) {
 	}
 }
 
-// Property: with indexing enabled the result is identical (downward
-// closure) to without.
+// Property: the index only prefilters candidates, so with it the
+// exploration builds exactly the tree it builds without it — in the
+// sequential and the relaxed schedule. Vec's class is the location, so
+// the per-class split is exercised.
 func TestQuickIndexTransparent(t *testing.T) {
+	profiles := []Options{
+		{Prune: true, Accelerate: true, MaxStates: 5000},
+		{Prune: true, Accelerate: true, MaxStates: 5000, Relaxed: true, Workers: 2},
+	}
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		v := randomVASS(r)
-		// Vec has no IndexSet, so indexing falls back internally; this
-		// exercises the nil-set path only. Real index coverage comes from
-		// the core tests. Here we just assert no behavioral change.
-		t1, err1 := Explore(v, Options{Prune: true, Accelerate: true, MaxStates: 5000})
-		t2, err2 := Explore(v, Options{Prune: true, Accelerate: true, UseIndex: true, MaxStates: 5000})
-		if err1 != nil || err2 != nil {
-			return true
-		}
-		a1, a2 := t1.Active(), t2.Active()
-		for _, n := range a1 {
-			if !covers(v, a2, n.S.(VConfig)) {
+		for _, base := range profiles {
+			scan, err1 := Explore(v, base)
+			indexed := base
+			indexed.UseIndex = true
+			got, err2 := Explore(v, indexed)
+			if !errors.Is(err1, err2) && !errors.Is(err2, err1) {
+				t.Logf("errors differ: %v vs %v", err1, err2)
 				return false
 			}
-		}
-		for _, n := range a2 {
-			if !covers(v, a1, n.S.(VConfig)) {
+			if !treesIdentical(t, v, scan, got) {
+				t.Logf("indexed tree differs (profile %+v, VASS %+v)", base, v)
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}
+
+// bruteCoverEdges is the reference coverability graph: every (successor,
+// node) pair tested with Leq, in successor order and ascending node
+// order.
+func bruteCoverEdges(sys System, nodes []*Node) [][]coverEdge {
+	out := make([][]coverEdge, len(nodes))
+	for i, nd := range nodes {
+		for _, sc := range sys.Successors(nd.S) {
+			for j, cand := range nodes {
+				if sys.Leq(sc.S, cand.S) {
+					out[i] = append(out[i], coverEdge{to: j, label: sc.Label})
+				}
+			}
+		}
+	}
+	return out
+}
+
+// bruteCycleNodes marks node i cyclic when it reaches itself through one
+// or more edges of the reference graph.
+func bruteCycleNodes(nodes []*Node, edges [][]coverEdge) map[*Node]bool {
+	out := map[*Node]bool{}
+	for i := range nodes {
+		seen := make([]bool, len(nodes))
+		stack := []int{i}
+		for len(stack) > 0 && !out[nodes[i]] {
+			cur := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, e := range edges[cur] {
+				if e.to == i {
+					out[nodes[i]] = true
+				}
+				if !seen[e.to] {
+					seen[e.to] = true
+					stack = append(stack, e.to)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// Property: the index-backed coverability graph has exactly the edges of
+// the all-pairs reference, in the same order, so the cycle nodes and
+// every witness lasso agree with it and with the unindexed graph.
+func TestQuickCoverGraphMatchesBruteForce(t *testing.T) {
+	check := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		v := randomVASS(r)
+		tree, err := Explore(v, Options{Prune: true, Accelerate: true, UseIndex: true, MaxStates: 5000})
+		if err != nil {
+			return true // budget blowup; skip
+		}
+		act := tree.Active()
+		ref := bruteCoverEdges(v, act)
+		refCyc := bruteCycleNodes(act, ref)
+		indexed, scan := NewCoverGraph(v, act, true), NewCoverGraph(v, act, false)
+		for _, g := range []*CoverGraph{indexed, scan} {
+			if !reflect.DeepEqual(g.out, ref) {
+				t.Logf("edges differ from the reference (VASS %+v)", v)
+				return false
+			}
+			if cyc := g.CycleNodes(); !reflect.DeepEqual(cyc, refCyc) {
+				t.Logf("cycle nodes %d, reference %d (VASS %+v)", len(cyc), len(refCyc), v)
+				return false
+			}
+		}
+		for _, n := range act {
+			w := indexed.CycleWitness(n)
+			if refCyc[n] != (w != nil) {
+				t.Logf("node %v: witness %v, on a cycle %v", n.S, w, refCyc[n])
+				return false
+			}
+			if !reflect.DeepEqual(w, scan.CycleWitness(n)) {
+				t.Logf("node %v: witnesses differ", n.S)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
 	}
 }
@@ -202,7 +289,8 @@ func TestCycleNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	act := tree.Active()
-	cyc := CycleNodes(v, act)
+	g := NewCoverGraph(v, act, true)
+	cyc := g.CycleNodes()
 	for _, n := range act {
 		c := n.S.(VConfig)
 		in := cyc[n]
@@ -216,7 +304,7 @@ func TestCycleNodes(t *testing.T) {
 	// A witness exists for a cyclic node.
 	for _, n := range act {
 		if cyc[n] {
-			if w := CycleWitness(v, act, n); len(w) == 0 {
+			if w := g.CycleWitness(n); len(w) == 0 {
 				t.Error("no cycle witness found")
 			}
 		}
@@ -231,11 +319,11 @@ func TestCycleSelfLoop(t *testing.T) {
 	}
 	tree, _ := Explore(v, Options{Prune: true, Accelerate: true})
 	act := tree.Active()
-	cyc := CycleNodes(v, act)
-	if len(cyc) == 0 {
+	g := NewCoverGraph(v, act, true)
+	if len(g.CycleNodes()) == 0 {
 		t.Error("self-loop must be detected as a cycle")
 	}
-	if w := CycleWitness(v, act, act[0]); len(w) != 1 {
+	if w := g.CycleWitness(act[0]); len(w) != 1 {
 		t.Errorf("self-loop witness should have length 1, got %v", w)
 	}
 }
@@ -248,7 +336,7 @@ func TestNoCycle(t *testing.T) {
 		Trans: []VTrans{{From: 0, To: 1, Delta: []Count{-1}}},
 	}
 	tree, _ := Explore(v, Options{Prune: true, Accelerate: true})
-	cyc := CycleNodes(v, tree.Active())
+	cyc := NewCoverGraph(v, tree.Active(), true).CycleNodes()
 	if len(cyc) != 0 {
 		t.Error("acyclic system must have no cycle nodes")
 	}
@@ -265,8 +353,7 @@ func TestOmegaCycle(t *testing.T) {
 		},
 	}
 	tree, _ := Explore(v, Options{Prune: true, Accelerate: true})
-	act := tree.Active()
-	cyc := CycleNodes(v, act)
+	cyc := NewCoverGraph(v, tree.Active(), true).CycleNodes()
 	found := false
 	for n := range cyc {
 		if n.S.(VConfig).C[0] == VOmega {

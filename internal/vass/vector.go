@@ -128,8 +128,9 @@ func (v *Vec) Accelerate(ancestor, s State) (State, bool) {
 	return out, true
 }
 
-// IndexSet implements System. Vector states are not indexed.
-func (v *Vec) IndexSet(State) []uint64 { return nil }
+// IndexSet implements System: Leq requires equal locations, so the
+// location is the class; the counters are not indexed.
+func (v *Vec) IndexSet(s State) (uint64, []uint64) { return uint64(s.(VConfig).Loc), nil }
 
 // BoundedReach enumerates all configurations reachable without any counter
 // exceeding bound (a brute-force oracle for tests).
