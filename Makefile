@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check race bench bench-quick bench-multicore bench-suite fleet-soak profile serve
+.PHONY: build test check race bench bench-quick bench-suite fleet-soak profile serve
 
 build:
 	$(GO) build ./...
@@ -14,7 +14,8 @@ check:
 	@fmt="$$(gofmt -l .)"; if [ -n "$$fmt" ]; then \
 		echo "gofmt needed:"; echo "$$fmt"; exit 1; fi
 
-# Race-detector pass over the packages with concurrent schedulers.
+# Race-detector pass over the concurrent packages: the suite and job
+# pools, portfolio racing, the service, the store and the fleet.
 race:
 	$(GO) test -race -short ./internal/core/... ./internal/benchmark/... ./internal/vass/... ./internal/spinlike/... ./internal/service/... ./internal/store/... ./internal/fleet/...
 
@@ -37,15 +38,12 @@ serve:
 bench:
 	$(GO) test -bench=. -benchmem
 
-# Fast subset of the hot-path micro-benchmarks: the parallel
-# Karp-Miller exploration at workers 1/2/4 and the symbolic successor
-# function, plus the machine-readable scaling record BENCH_explore.json
-# (includes GOMAXPROCS — parallel speedup only shows on multicore).
+# Fast subset of the hot-path micro-benchmarks: the Karp-Miller
+# exploration on the vector domain and the symbolic successor function,
+# plus the machine-readable memory, portfolio and store records.
 bench-quick:
 	$(GO) test -run xxx -bench 'Explore' -benchmem -benchtime 2x ./internal/vass/
 	$(GO) test -run xxx -bench 'TaskSystemSuccessors|PSIEdgeSet' -benchmem -benchtime 0.5s ./internal/symbolic/
-	BENCH_EXPLORE_JSON=$(CURDIR)/BENCH_explore.json $(GO) test -run TestWriteExploreBenchJSON -v ./internal/vass/
-	@echo "wrote BENCH_explore.json"
 	BENCH_MEMORY_JSON=$(CURDIR)/BENCH_memory.json $(GO) test -run TestWriteMemoryBenchJSON -v ./internal/core/
 	@echo "wrote BENCH_memory.json"
 	BENCH_PORTFOLIO_JSON=$(CURDIR)/BENCH_portfolio.json $(GO) test -run TestWritePortfolioBenchJSON -v ./internal/benchmark/
@@ -62,17 +60,6 @@ SEED ?= 1
 
 bench-suite:
 	bash bench/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds 30 --trace 0
-
-# Multicore scaling gate (CI bench-multicore job): the relaxed
-# partitioned exploration must reach >= 1.5x at workers=4 on a host
-# with >= 4 CPUs (the guard skips itself below that), first under the
-# race detector, then timed without it, and regenerates the
-# deterministic+relaxed scaling record.
-bench-multicore:
-	$(GO) test -race -run TestMulticoreScalingGuard -v -count=1 ./internal/vass/
-	$(GO) test -run TestMulticoreScalingGuard -v -count=1 ./internal/vass/
-	BENCH_EXPLORE_JSON=$(CURDIR)/BENCH_explore.json $(GO) test -run TestWriteExploreBenchJSON -v -count=1 ./internal/vass/
-	@echo "wrote BENCH_explore.json"
 
 # CPU-profile a live suite through the -debug-addr pprof endpoint:
 # start benchrun in the background, sample its CPU for PROFILE_SECONDS,

@@ -56,8 +56,6 @@ func main() {
 		maxState  = flag.Int("max-states", 400000, "state budget per VERIFAS search phase")
 		memBudget = flag.String("mem-budget", "", "per-run memory budget (e.g. 64M, 2G; empty = unlimited); exhausted runs count as failures")
 		workers   = flag.Int("j", runtime.GOMAXPROCS(0), "parallel verification workers per suite")
-		searchJ   = flag.Int("workers", 1, "parallel successor workers inside each verification (<= 1 = sequential)")
-		relaxed   = flag.Bool("relaxed", false, "relaxed partitioned exploration: same verdicts, better multicore scaling, stats may differ from the deterministic mode")
 		jsonOut   = flag.Bool("json", false, "emit one JSON record per run on stdout (tables move to stderr)")
 		quiet     = flag.Bool("quiet", false, "suppress the live progress line")
 		traceFile = flag.String("trace", "", "write the verification event stream to FILE as JSON lines")
@@ -111,8 +109,6 @@ func main() {
 		SpinFresh:     2,
 		Seed:          *seed,
 		Workers:       *workers,
-		SearchWorkers: *searchJ,
-		Relaxed:       *relaxed,
 	}
 	if !*quiet {
 		cfg.Progress = os.Stderr

@@ -15,14 +15,13 @@
 //	               [-addr :8080] [-vnodes 160] [-health-interval 250ms]
 //	               [-retry-attempts 4]
 //	               [-default-timeout D] [-max-timeout D] [-max-states N]
-//	               [-job-mem-budget SIZE] [-job-workers N]
+//	               [-job-mem-budget SIZE]
 //	               [-debug-addr ADDR] [-version]
 //
-// The -default-timeout/-max-timeout/-max-states/-job-mem-budget/
-// -job-workers flags must mirror the replicas' settings: they
-// participate in the cache key, and a mismatch would route identical
-// jobs to different shards (correct results, worse coalescing). See
-// README.md "Running a fleet".
+// The -default-timeout/-max-timeout/-max-states/-job-mem-budget flags
+// must mirror the replicas' settings: they participate in the cache key,
+// and a mismatch would route identical jobs to different shards (correct
+// results, worse coalescing). See README.md "Running a fleet".
 package main
 
 import (
@@ -62,7 +61,6 @@ func run() int {
 		maxTimeout     = flag.Duration("max-timeout", 0, "replicas' cap on requested timeouts (must match theirs)")
 		maxStates      = flag.Int("max-states", core.DefaultMaxStates, "replicas' default state budget (must match theirs)")
 		jobMemBudget   = flag.String("job-mem-budget", "", "replicas' default per-job memory budget (must match theirs)")
-		jobWorkers     = flag.Int("job-workers", 1, "replicas' default intra-run parallelism (must match theirs)")
 		debugAddr      = flag.String("debug-addr", "", "serve pprof and expvar on this address (e.g. localhost:6060)")
 		showVer        = flag.Bool("version", false, "print the build version and exit")
 	)
@@ -95,7 +93,6 @@ func run() int {
 			MaxTimeout: *maxTimeout,
 			MaxStates:  *maxStates,
 			MemBudget:  memBytes,
-			JobWorkers: *jobWorkers,
 		},
 	})
 	if err != nil {

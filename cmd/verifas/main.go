@@ -65,8 +65,6 @@ func run() int {
 		showStats = flag.Bool("stats", false, "print search statistics")
 		witness   = flag.Bool("witness", false, "try to realize root-task counterexample prefixes concretely on random databases")
 		workers   = flag.Int("j", 1, "verify up to N properties concurrently (output order is preserved)")
-		searchJ   = flag.Int("workers", 1, "parallel successor workers inside each search (<= 1 = sequential; verdicts are identical either way)")
-		relaxed   = flag.Bool("relaxed", false, "relaxed partitioned exploration: same verdicts, near-linear multicore scaling, but stats and traces may differ from the default deterministic mode")
 		events    = flag.String("events", "", "write the verification event stream to FILE as JSON lines")
 		debugAddr = flag.String("debug-addr", "", "serve pprof and expvar on this address (e.g. localhost:6060)")
 		server    = flag.String("server", "", "verify remotely on a verifasd daemon at this base URL or host:port")
@@ -88,7 +86,7 @@ func run() int {
 		return 2
 	}
 	engineList := portfolioNames(*engineCSV, *portfolio)
-	budget := core.Budget{Timeout: *timeout, MaxStates: *maxStates, MaxMemBytes: memBytes, Workers: *searchJ, Relaxed: *relaxed}
+	budget := core.Budget{Timeout: *timeout, MaxStates: *maxStates, MaxMemBytes: memBytes}
 	var contenders []core.Engine
 	if len(engineList) > 0 && *server == "" {
 		// Contenders carry the shared budget but run unobserved; the
@@ -268,8 +266,6 @@ func run() int {
 			timeout:   *timeout,
 			maxStates: *maxStates,
 			memBudget: memBytes,
-			searchJ:   *searchJ,
-			relaxed:   *relaxed,
 			showTrace: *showTrace,
 			showStats: *showStats,
 			witness:   *witness,
@@ -328,8 +324,6 @@ type remoteFlags struct {
 	timeout                        time.Duration
 	maxStates                      int
 	memBudget                      int64
-	searchJ                        int
-	relaxed                        bool
 	showTrace, showStats, witness  bool
 	eventsF                        *os.File
 }
@@ -350,8 +344,6 @@ func remoteVerifier(ctx context.Context, addr, src string, file *spec.File, rf r
 		TimeoutMS:                rf.timeout.Milliseconds(),
 		MaxStates:                rf.maxStates,
 		MemBudget:                rf.memBudget,
-		Workers:                  rf.searchJ,
-		Relaxed:                  rf.relaxed,
 	}
 	if len(rf.engines) > 0 {
 		// Portfolio mode: the daemon rejects engine+engines together, and

@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	verifasd [-addr :8080] [-workers N] [-job-workers N] [-queue N]
+//	verifasd [-addr :8080] [-workers N] [-queue N]
 //	         [-cache N] [-store-dir DIR] [-store-max SIZE]
 //	         [-default-timeout D] [-max-timeout D]
 //	         [-node ID] [-lease-ttl D]
@@ -60,7 +60,6 @@ func run() int {
 	var (
 		addr         = flag.String("addr", "localhost:8080", "serve the verification API on this address")
 		workers      = flag.Int("workers", runtime.GOMAXPROCS(0), "verification worker-pool size")
-		jobWorkers   = flag.Int("job-workers", 1, "default intra-run search parallelism when a job sets no workers option (clamped to GOMAXPROCS)")
 		queueDepth   = flag.Int("queue", 64, "bound on queued runs beyond the workers (overflow gets 429)")
 		cacheSize    = flag.Int("cache", 256, "memory-tier result-store entries (negative disables caching)")
 		storeDir     = flag.String("store-dir", "", "persist results in this directory (content-addressed, survives restarts; empty = memory only)")
@@ -130,7 +129,6 @@ func run() int {
 		MaxTimeout:       *maxTimeout,
 		DefaultMaxStates: *maxStates,
 		DefaultMemBudget: memBytes,
-		JobWorkers:       *jobWorkers,
 		Registry:         reg,
 		Version:          version.String(),
 		NodeID:           *node,
@@ -164,8 +162,8 @@ func run() int {
 	if *storeDir != "" {
 		persist = fmt.Sprintf("disk=%s max=%s", *storeDir, *storeMax)
 	}
-	fmt.Fprintf(os.Stderr, "verifasd %s serving on http://%s (workers=%d job-workers=%d queue=%d cache=%d store=%s)\n",
-		version.String(), *addr, *workers, *jobWorkers, *queueDepth, *cacheSize, persist)
+	fmt.Fprintf(os.Stderr, "verifasd %s serving on http://%s (workers=%d queue=%d cache=%d store=%s)\n",
+		version.String(), *addr, *workers, *queueDepth, *cacheSize, persist)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -97,16 +97,6 @@ type Config struct {
 	// order, content and seeding are identical either way — only the
 	// wall-clock timings vary with scheduling.
 	Workers int
-	// SearchWorkers sets the intra-run successor-computation
-	// parallelism of each verification (core.Options.Workers /
-	// spinlike.Options.Workers); <= 1 keeps every search sequential.
-	// Orthogonal to Workers: that fans out across runs, this
-	// parallelizes inside one run's hot loop.
-	SearchWorkers int
-	// Relaxed switches every verification to relaxed partitioned
-	// exploration (core.Budget.Relaxed): same verdicts, but stats may
-	// differ from the default deterministic-merge mode.
-	Relaxed bool
 	// Progress, when non-nil, receives a live single-line progress report
 	// (completed/total, failures, live state count and throughput, ETA)
 	// rewritten in place with '\r'; point it at a terminal's stderr, not
@@ -204,8 +194,6 @@ func (cfg Config) budget(maxStates int, obs core.Observer) core.Budget {
 		MaxStates:      maxStates,
 		MaxMemBytes:    cfg.MaxMemBytes,
 		Timeout:        cfg.Timeout,
-		Workers:        cfg.SearchWorkers,
-		Relaxed:        cfg.Relaxed,
 		Observer:       obs,
 		ProgressStride: cfg.ProgressStride,
 	}

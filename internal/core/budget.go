@@ -24,18 +24,6 @@ type Budget struct {
 	// top of the Context passed to Verify: whichever expires first stops
 	// the search.
 	Timeout time.Duration
-	// Workers sets the intra-search parallelism: <= 1 keeps every search
-	// phase sequential. The verdict, trace and per-phase stats are
-	// identical for any value; only wall-clock time changes.
-	Workers int
-	// Relaxed switches the search phases to relaxed partitioned
-	// exploration (vass.Options.Relaxed) and the baseline engine's
-	// valuation fan-out to first-decision-wins. Verdicts and
-	// coverability semantics agree with Relaxed=false, but trees,
-	// traces and stats may differ (round-order exploration instead of
-	// sequential depth-first), so Relaxed is the one Budget field that
-	// participates in the service cache key. Off by default.
-	Relaxed bool
 	// Observer, when non-nil, receives the verification's typed event
 	// stream: PhaseStart/PhaseEnd for every phase, periodic Progress
 	// snapshots from the search loops, and a terminal Verdict event. A

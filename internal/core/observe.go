@@ -62,25 +62,6 @@ type ProgressEvent struct {
 	Pruned        int `json:"pruned"`
 	Skipped       int `json:"skipped"`
 	Accelerations int `json:"accelerations"`
-	// Workers is the configured successor-worker count of the search
-	// (omitted when the phase runs sequentially).
-	Workers int `json:"workers,omitempty"`
-	// Inflight is the number of successor computations claimed by
-	// workers at snapshot time.
-	Inflight int `json:"inflight,omitempty"`
-	// Prefetched counts processed states whose successors a worker had
-	// precomputed; Prefetched/States approximates worker utilization.
-	Prefetched int `json:"prefetched,omitempty"`
-	// PartitionDepths is the per-partition pending-work depth of a
-	// partitioned search (prefetch stacks or relaxed-mode owned
-	// frontiers); omitted when sequential.
-	PartitionDepths []int `json:"partition_depths,omitempty"`
-	// Exchanged counts successors routed between partitions so far
-	// (relaxed mode only).
-	Exchanged int `json:"exchanged,omitempty"`
-	// ExchangeQueue is the peak buffered cross-partition successor
-	// count observed at the merger (relaxed mode only).
-	ExchangeQueue int `json:"exchange_queue,omitempty"`
 	// HeapInUse is the live heap-object footprint at snapshot time
 	// (bytes), sampled cheaply via runtime/metrics with a short TTL —
 	// consecutive snapshots within the TTL share one reading, so a
@@ -249,19 +230,13 @@ func (e emitter) searchProgress(phase Phase) func(vass.Progress) {
 // snapshots.
 func NewProgressEvent(phase Phase, phaseStart time.Time, p vass.Progress) ProgressEvent {
 	ev := ProgressEvent{
-		Phase:           phase,
-		States:          p.Created,
-		Frontier:        p.Frontier,
-		Pruned:          p.Pruned,
-		Skipped:         p.Skipped,
-		Accelerations:   p.Accelerations,
-		Workers:         p.Workers,
-		Inflight:        p.Inflight,
-		Prefetched:      p.Prefetched,
-		PartitionDepths: p.PartitionDepths,
-		Exchanged:       p.Exchanged,
-		ExchangeQueue:   p.ExchangeQueue,
-		Elapsed:         time.Since(phaseStart),
+		Phase:         phase,
+		States:        p.Created,
+		Frontier:      p.Frontier,
+		Pruned:        p.Pruned,
+		Skipped:       p.Skipped,
+		Accelerations: p.Accelerations,
+		Elapsed:       time.Since(phaseStart),
 	}
 	if secs := ev.Elapsed.Seconds(); secs > 0 {
 		ev.Rate = float64(p.Created) / secs

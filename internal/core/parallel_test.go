@@ -2,9 +2,11 @@ package core_test
 
 import (
 	"context"
+	"sync"
 	"testing"
 	"time"
 
+	"verifas/internal/benchmark"
 	"verifas/internal/core"
 	"verifas/internal/fol"
 	"verifas/internal/has"
@@ -14,38 +16,58 @@ import (
 	"verifas/internal/workflows"
 )
 
-// parallelCase is one (system, property) workload of the determinism
-// suite below.
-type parallelCase struct {
-	name string
-	sys  *has.System
-	prop *core.Property
+// determinismCase is one workload of the determinism test below: a
+// verification to run twice.
+type determinismCase struct {
+	name   string
+	verify func(context.Context) (*core.Result, error)
+	// budgetCut marks a case whose search must stop at its state budget.
+	budgetCut bool
 }
 
-// parallelCases mixes real workflows (paper Table 1 systems) with a
-// synthetic specification, covering holds, finite violations and
-// repeated-reachability (pumping/cycle) violations.
-func parallelCases(t *testing.T) []parallelCase {
+func verifasCase(name string, sys *has.System, prop *core.Property, maxStates int) determinismCase {
+	return determinismCase{name: name, verify: func(ctx context.Context) (*core.Result, error) {
+		opts := core.Options{Budget: core.Budget{MaxStates: maxStates, Timeout: 60 * time.Second}}
+		return core.Verify(ctx, sys, prop, opts)
+	}}
+}
+
+func spinlikeCase(name string, sys *has.System, prop *spinlike.Property) determinismCase {
+	return determinismCase{name: name, verify: func(ctx context.Context) (*core.Result, error) {
+		opts := spinlike.Options{Budget: core.Budget{MaxStates: 60_000, Timeout: 60 * time.Second}}
+		r, err := spinlike.Verify(ctx, sys, prop, opts)
+		if err != nil {
+			return nil, err
+		}
+		return &core.Result{Verdict: r.Verdict, Stats: core.Stats{
+			Reachability: core.PhaseStats{States: r.Stats.States, MemBytes: r.Stats.MemBytes},
+		}}, nil
+	}}
+}
+
+// determinismCases mixes real workflows (paper Table 1 systems) with
+// synthetic specifications, covering holds, finite violations,
+// repeated-reachability (pumping/cycle) violations, a search cut by the
+// state budget, and the baseline engine with and without global
+// variables.
+func determinismCases(t *testing.T) []determinismCase {
 	t.Helper()
+	// Verify requires a validated system; validation also fills the
+	// system's lazy lookup tables before the concurrent runs read them.
 	order := workflows.OrderFulfillment(false)
-	cases := []parallelCase{
-		{
-			name: "order-safety-holds",
-			sys:  order,
-			prop: &core.Property{
-				Task:    "ProcessOrders",
-				Conds:   map[string]fol.Formula{"stocked": fol.MustParse(`instock == "Yes"`)},
-				Formula: ltl.MustParse(`G (open(ShipItem) -> stocked)`),
-			},
-		},
-		{
-			name: "order-liveness-violated",
-			sys:  order,
-			prop: &core.Property{
-				Task:    "ProcessOrders",
-				Formula: ltl.MustParse(`F open(ShipItem)`),
-			},
-		},
+	if err := order.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	cases := []determinismCase{
+		verifasCase("order-safety-holds", order, &core.Property{
+			Task:    "ProcessOrders",
+			Conds:   map[string]fol.Formula{"stocked": fol.MustParse(`instock == "Yes"`)},
+			Formula: ltl.MustParse(`G (open(ShipItem) -> stocked)`),
+		}, 300_000),
+		verifasCase("order-liveness-violated", order, &core.Property{
+			Task:    "ProcessOrders",
+			Formula: ltl.MustParse(`F open(ShipItem)`),
+		}, 300_000),
 	}
 	p := synth.Params{
 		Relations:       2,
@@ -58,15 +80,43 @@ func parallelCases(t *testing.T) []parallelCase {
 	}
 	sys := synth.GenerateValid(p, 36, 2, 10)
 	if err := sys.Validate(); err == nil {
-		cases = append(cases, parallelCase{
-			name: "synthetic-neverclose",
-			sys:  sys,
-			prop: &core.Property{
-				Task:    sys.Root.Name,
-				Formula: ltl.MustParse(`G !close(` + sys.Root.Children[0].Name + `)`),
-			},
-		})
+		cases = append(cases, verifasCase("synthetic-neverclose", sys, &core.Property{
+			Task:    sys.Root.Name,
+			Formula: ltl.MustParse(`G !close(` + sys.Root.Children[0].Name + `)`),
+		}, 300_000))
 	}
+	// The synth-wide benchmark item "synth-09 | GF p -> GF q": its search
+	// stops at the 1000-state budget, so the cut point itself must be
+	// reproducible. The benchmark seeds its properties with 3, the spec's
+	// position in that workload plus one.
+	n := len(cases)
+	for _, s := range benchmark.SyntheticSuite(11, 1) {
+		if s.Name != "synth-09" {
+			continue
+		}
+		for _, prop := range benchmark.Properties(s.Sys, 3) {
+			if prop.Name == "GF p -> GF q" {
+				c := verifasCase("synth-09-budget-cut", s.Sys, prop, 1000)
+				c.budgetCut = true
+				cases = append(cases, c)
+			}
+		}
+	}
+	if len(cases) == n {
+		t.Fatal("synthetic suite lacks synth-09 | GF p -> GF q")
+	}
+	cases = append(cases,
+		spinlikeCase("spinlike-globals", order, &spinlike.Property{
+			Task:    "ProcessOrders",
+			Globals: []has.Variable{{Name: "gitem", Type: has.IDType("ITEMS")}},
+			Conds:   map[string]fol.Formula{"mine": fol.MustParse(`item_id == gitem`)},
+			Formula: ltl.MustParse(`G (mine -> F open(ShipItem))`),
+		}),
+		spinlikeCase("spinlike-no-globals", order, &spinlike.Property{
+			Task:    "ProcessOrders",
+			Formula: ltl.MustParse(`F open(ShipItem)`),
+		}),
+	)
 	return cases
 }
 
@@ -75,9 +125,11 @@ func parallelCases(t *testing.T) []parallelCase {
 func statsEqual(a, b core.Stats) bool {
 	phase := func(x, y core.PhaseStats) bool {
 		return x.States == y.States && x.Pruned == y.Pruned &&
-			x.Skipped == y.Skipped && x.Accelerations == y.Accelerations
+			x.Skipped == y.Skipped && x.Accelerations == y.Accelerations &&
+			x.MemBytes == y.MemBytes
 	}
 	return a.BuchiStates == b.BuchiStates && a.TimedOut == b.TimedOut &&
+		a.BudgetExhausted == b.BudgetExhausted &&
 		phase(a.Reachability, b.Reachability) && phase(a.RR, b.RR) && phase(a.Confirm, b.Confirm)
 }
 
@@ -104,181 +156,44 @@ func violationEqual(a, b *core.Violation) bool {
 	return true
 }
 
-// TestParallelVerifyDeterministic runs the full verifier on real and
-// synthetic workloads with Workers 1, 4 and 8 and requires identical
-// verdicts, counterexample traces and per-phase search stats: the
-// parallel exploration must commit exactly the sequential tree.
+// TestParallelVerifyDeterministic verifies every case twice at once and
+// requires identical verdicts, per-phase search stats and witnesses. A
+// search runs on one goroutine; parallelism exists only across
+// verifications (the daemon's job pool, benchrun -j, verifas -j,
+// portfolio racing), so two concurrent runs of one case must not
+// influence each other.
 func TestParallelVerifyDeterministic(t *testing.T) {
-	for _, tc := range parallelCases(t) {
-		tc := tc
+	for _, tc := range determinismCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			base := core.Options{Budget: core.Budget{MaxStates: 300_000, Timeout: 60 * time.Second, Workers: 1}}
-			ref, err := core.Verify(context.Background(), tc.sys, tc.prop, base)
-			if err != nil {
-				t.Fatal(err)
+			var res [2]*core.Result
+			var errs [2]error
+			var wg sync.WaitGroup
+			for i := range res {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					res[i], errs[i] = tc.verify(context.Background())
+				}(i)
 			}
-			if ref.TimedOut() {
-				t.Skip("reference run hit the budget")
-			}
-			for _, w := range []int{4, 8} {
-				opts := base
-				opts.Workers = w
-				got, err := core.Verify(context.Background(), tc.sys, tc.prop, opts)
+			wg.Wait()
+			for _, err := range errs {
 				if err != nil {
-					t.Fatalf("workers=%d: %v", w, err)
+					t.Fatal(err)
 				}
-				if got.Verdict != ref.Verdict {
-					t.Errorf("workers=%d verdict %v, want %v", w, got.Verdict, ref.Verdict)
-				}
-				if !statsEqual(got.Stats, ref.Stats) {
-					t.Errorf("workers=%d stats differ:\n got %+v\nwant %+v", w, got.Stats, ref.Stats)
-				}
-				if !violationEqual(got.Violation, ref.Violation) {
-					t.Errorf("workers=%d counterexample differs:\n got %+v\nwant %+v",
-						w, got.Violation, ref.Violation)
-				}
+			}
+			a, b := res[0], res[1]
+			if tc.budgetCut && !a.TimedOut() {
+				t.Errorf("verdict %v, want the state budget to cut the search", a.Verdict)
+			}
+			if a.Verdict != b.Verdict {
+				t.Errorf("verdicts differ: %v vs %v", a.Verdict, b.Verdict)
+			}
+			if !statsEqual(a.Stats, b.Stats) {
+				t.Errorf("stats differ:\n%+v\n%+v", a.Stats, b.Stats)
+			}
+			if !violationEqual(a.Violation, b.Violation) {
+				t.Errorf("counterexamples differ:\n%+v\n%+v", a.Violation, b.Violation)
 			}
 		})
-	}
-}
-
-// TestParallelSpinlikeDeterministic checks the baseline engine's
-// valuation-parallel mode: the verdict must match the sequential run for
-// a property with global variables (multiple valuations) and for one
-// without (single valuation, which must take the sequential path).
-func TestParallelSpinlikeDeterministic(t *testing.T) {
-	sys := workflows.OrderFulfillment(false)
-	props := []*spinlike.Property{
-		{
-			Task:    "ProcessOrders",
-			Globals: []has.Variable{{Name: "gitem", Type: has.IDType("ITEMS")}},
-			Conds:   map[string]fol.Formula{"mine": fol.MustParse(`item_id == gitem`)},
-			Formula: ltl.MustParse(`G (mine -> F open(ShipItem))`),
-		},
-		{
-			Task:    "ProcessOrders",
-			Formula: ltl.MustParse(`F open(ShipItem)`),
-		},
-	}
-	for _, prop := range props {
-		base := spinlike.Options{Budget: core.Budget{MaxStates: 60_000, Timeout: 60 * time.Second}}
-		ref, err := spinlike.Verify(context.Background(), sys, prop, base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range []int{4, 8} {
-			opts := base
-			opts.Workers = w
-			got, err := spinlike.Verify(context.Background(), sys, prop, opts)
-			if err != nil {
-				t.Fatalf("workers=%d: %v", w, err)
-			}
-			if got.Verdict != ref.Verdict {
-				t.Errorf("workers=%d verdict %v, want %v (globals=%d)",
-					w, got.Verdict, ref.Verdict, len(prop.Globals))
-			}
-		}
-	}
-}
-
-// TestRelaxedVerifyEquivalent runs the relaxed partitioned mode over the
-// same corpus as TestParallelVerifyDeterministic. Relaxed explores in
-// rounds instead of sequential depth-first order, so stats and traces
-// may legitimately differ from the sequential reference — but the
-// verdict must agree, any counterexample must be structurally valid
-// (same violation kind), and the relaxed runs themselves must be
-// deterministic in the worker count (canonical round merge).
-func TestRelaxedVerifyEquivalent(t *testing.T) {
-	for _, tc := range parallelCases(t) {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			base := core.Options{Budget: core.Budget{MaxStates: 300_000, Timeout: 60 * time.Second}}
-			seq, err := core.Verify(context.Background(), tc.sys, tc.prop, base)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if seq.TimedOut() {
-				t.Skip("sequential reference hit the budget")
-			}
-			var ref *core.Result
-			for _, w := range []int{1, 2, 4} {
-				opts := base
-				opts.Workers = w
-				opts.Relaxed = true
-				got, err := core.Verify(context.Background(), tc.sys, tc.prop, opts)
-				if err != nil {
-					t.Fatalf("relaxed workers=%d: %v", w, err)
-				}
-				if got.TimedOut() {
-					t.Fatalf("relaxed workers=%d hit the budget; sequential did not", w)
-				}
-				// Verdict equivalence with the sequential run.
-				if got.Verdict != seq.Verdict {
-					t.Errorf("relaxed workers=%d verdict %v, want %v", w, got.Verdict, seq.Verdict)
-				}
-				// Witness validity: a violated verdict must come with a
-				// counterexample of the same kind as the sequential one.
-				if (got.Violation == nil) != (seq.Violation == nil) {
-					t.Errorf("relaxed workers=%d violation presence differs", w)
-				} else if got.Violation != nil && got.Violation.Kind != seq.Violation.Kind {
-					t.Errorf("relaxed workers=%d violation kind %q, want %q",
-						w, got.Violation.Kind, seq.Violation.Kind)
-				}
-				// Determinism across relaxed worker counts: identical
-				// stats and traces for any W.
-				if ref == nil {
-					ref = got
-					continue
-				}
-				if !statsEqual(got.Stats, ref.Stats) {
-					t.Errorf("relaxed workers=%d stats differ from relaxed w=1:\n got %+v\nwant %+v",
-						w, got.Stats, ref.Stats)
-				}
-				if !violationEqual(got.Violation, ref.Violation) {
-					t.Errorf("relaxed workers=%d counterexample differs from relaxed w=1:\n got %+v\nwant %+v",
-						w, got.Violation, ref.Violation)
-				}
-			}
-		})
-	}
-}
-
-// TestRelaxedSpinlikeEquivalent checks the baseline engine's relaxed
-// valuation fan-out: first-deciding-valuation-wins must reach the same
-// verdict as the sequential scan, for a property with global variables
-// (many valuations) and one without (single valuation).
-func TestRelaxedSpinlikeEquivalent(t *testing.T) {
-	sys := workflows.OrderFulfillment(false)
-	props := []*spinlike.Property{
-		{
-			Task:    "ProcessOrders",
-			Globals: []has.Variable{{Name: "gitem", Type: has.IDType("ITEMS")}},
-			Conds:   map[string]fol.Formula{"mine": fol.MustParse(`item_id == gitem`)},
-			Formula: ltl.MustParse(`G (mine -> F open(ShipItem))`),
-		},
-		{
-			Task:    "ProcessOrders",
-			Formula: ltl.MustParse(`F open(ShipItem)`),
-		},
-	}
-	for _, prop := range props {
-		base := spinlike.Options{Budget: core.Budget{MaxStates: 60_000, Timeout: 60 * time.Second}}
-		ref, err := spinlike.Verify(context.Background(), sys, prop, base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range []int{2, 4} {
-			opts := base
-			opts.Workers = w
-			opts.Relaxed = true
-			got, err := spinlike.Verify(context.Background(), sys, prop, opts)
-			if err != nil {
-				t.Fatalf("relaxed workers=%d: %v", w, err)
-			}
-			if got.Verdict != ref.Verdict {
-				t.Errorf("relaxed workers=%d verdict %v, want %v (globals=%d)",
-					w, got.Verdict, ref.Verdict, len(prop.Globals))
-			}
-		}
 	}
 }

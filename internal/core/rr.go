@@ -80,8 +80,6 @@ func rrClassical(ctx context.Context, ts *symbolic.TaskSystem, buchi *ltl.Buchi,
 		MaxStates:      maxStates,
 		MaxMemBytes:    opts.MaxMemBytes,
 		MemExtra:       internerExtra(ts),
-		Workers:        opts.Workers,
-		Relaxed:        opts.Relaxed,
 		Ctx:            ctx,
 		OnProgress:     em.searchProgress(phase),
 		ProgressStride: em.stride,
@@ -117,8 +115,6 @@ func rrAggressive(ctx context.Context, ts *symbolic.TaskSystem, buchi *ltl.Buchi
 		MaxStates:       maxStates,
 		MaxMemBytes:     opts.MaxMemBytes,
 		MemExtra:        internerExtra(ts),
-		Workers:         opts.Workers,
-		Relaxed:         opts.Relaxed,
 		Ctx:             ctx,
 		OnProgress:      em.searchProgress(PhaseRR),
 		ProgressStride:  em.stride,
@@ -152,8 +148,8 @@ func cycleViolation(ts *symbolic.TaskSystem, prod *product, active []*vass.Node,
 	g := vass.NewCoverGraph(prod, active, useIndex)
 	cyc := g.CycleNodes()
 	// Scan in tree order, not map order: the extracted lasso must be
-	// the same on every run (and for every Options.Workers value), and
-	// ranging over the pointer-keyed set rotates it randomly.
+	// the same on every run, and ranging over the pointer-keyed set
+	// rotates it randomly.
 	for _, n := range active {
 		if !cyc[n] || !prod.Accepting(n.S.(*PState)) {
 			continue

@@ -37,7 +37,7 @@ type Property struct {
 // Options configure the verifier; the zero value enables every
 // optimization (the full VERIFAS configuration). The embedded Budget
 // carries the engine-neutral resource knobs (MaxStates, MaxMemBytes,
-// Timeout, Workers, Observer, ProgressStride).
+// Timeout, Observer, ProgressStride).
 type Options struct {
 	Budget
 	// NoStatePruning disables the ⪯-based aggressive pruning (SP, paper
@@ -273,8 +273,6 @@ func Verify(ctx context.Context, sys *has.System, prop *Property, opts Options) 
 		MaxStates:      maxStates,
 		MaxMemBytes:    opts.MaxMemBytes,
 		MemExtra:       internerExtra(ts),
-		Workers:        opts.Workers,
-		Relaxed:        opts.Relaxed,
 		Ctx:            ctx,
 		OnProgress:     em.searchProgress(PhaseReach),
 		ProgressStride: em.stride,

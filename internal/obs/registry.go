@@ -33,22 +33,6 @@ type Registry struct {
 	pruned        atomic.Int64
 	skipped       atomic.Int64
 	accelerations atomic.Int64
-	// prefetched counts states whose successor sets a search worker
-	// precomputed (parallel exploration only).
-	prefetched atomic.Int64
-	// inflight is a gauge: successor computations currently claimed by
-	// search workers, summed over active runs.
-	inflight atomic.Int64
-	// exchanged counts successors routed between partitions by
-	// relaxed-mode searches.
-	exchanged atomic.Int64
-	// exchangeQueue is a gauge: the peak cross-partition successor
-	// backlog reported by each active run's latest snapshot, summed.
-	exchangeQueue atomic.Int64
-	// imbalanceMilli is the most recently observed partition imbalance
-	// (max/mean of the per-partition work depths, in thousandths) of any
-	// partitioned search reporting progress. 1000 = perfectly balanced.
-	imbalanceMilli atomic.Int64
 
 	// phaseNanos accumulates wall time per phase, indexed by phaseIdx.
 	phaseNanos [numPhases]atomic.Int64
@@ -134,22 +118,6 @@ type Snapshot struct {
 	Pruned        int64 `json:"pruned"`
 	Skipped       int64 `json:"skipped"`
 	Accelerations int64 `json:"accelerations"`
-	// Prefetched counts states served by search-worker prefetch;
-	// Prefetched/States approximates parallel-search utilization.
-	Prefetched int64 `json:"prefetched"`
-	// SearchInflight is the current number of successor computations
-	// claimed by search workers across all active runs.
-	SearchInflight int64 `json:"search_inflight"`
-	// Exchanged counts successors routed between partitions by
-	// relaxed-mode searches.
-	Exchanged int64 `json:"exchanged"`
-	// ExchangeQueue sums the active runs' last-reported peak
-	// cross-partition successor backlogs.
-	ExchangeQueue int64 `json:"exchange_queue"`
-	// PartitionImbalanceMilli is the last observed max/mean partition
-	// work-depth ratio, in thousandths (1000 = perfectly balanced; 0 =
-	// no partitioned search has reported yet).
-	PartitionImbalanceMilli int64 `json:"partition_imbalance_milli"`
 
 	// PhaseMillis is wall time spent per phase, in milliseconds.
 	PhaseMillis map[string]int64 `json:"phase_millis"`
@@ -180,22 +148,17 @@ type EngineSnapshot struct {
 // Snapshot returns the current totals.
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
-		RunsActive:              r.runsActive.Load(),
-		RunsDone:                r.runsDone.Load(),
-		Holds:                   r.holds.Load(),
-		Violated:                r.violated.Load(),
-		TimedOut:                r.timedOut.Load(),
-		BudgetExhausted:         r.budget.Load(),
-		States:                  r.states.Load(),
-		Pruned:                  r.pruned.Load(),
-		Skipped:                 r.skipped.Load(),
-		Accelerations:           r.accelerations.Load(),
-		Prefetched:              r.prefetched.Load(),
-		SearchInflight:          r.inflight.Load(),
-		Exchanged:               r.exchanged.Load(),
-		ExchangeQueue:           r.exchangeQueue.Load(),
-		PartitionImbalanceMilli: r.imbalanceMilli.Load(),
-		PhaseMillis:             map[string]int64{},
+		RunsActive:      r.runsActive.Load(),
+		RunsDone:        r.runsDone.Load(),
+		Holds:           r.holds.Load(),
+		Violated:        r.violated.Load(),
+		TimedOut:        r.timedOut.Load(),
+		BudgetExhausted: r.budget.Load(),
+		States:          r.states.Load(),
+		Pruned:          r.pruned.Load(),
+		Skipped:         r.skipped.Load(),
+		Accelerations:   r.accelerations.Load(),
+		PhaseMillis:     map[string]int64{},
 	}
 	for i, p := range phaseOrder {
 		s.PhaseMillis[string(p)] = r.phaseNanos[i].Load() / int64(time.Millisecond)
@@ -234,34 +197,10 @@ func (r *Registry) String() string {
 type regRun struct {
 	reg  *Registry
 	last core.PhaseStats
-	// lastPrefetched/lastInflight mirror the worker counters of the
-	// current phase's last Progress event (they are not part of
-	// PhaseStats, so they get their own delta state).
-	lastPrefetched int
-	lastInflight   int
-	lastExchanged  int
-	lastExchQueue  int
 }
 
 func (h *regRun) PhaseStart(core.Phase) {
 	h.last = core.PhaseStats{}
-	h.lastPrefetched = 0
-	h.lastExchanged = 0
-	h.drainInflight()
-}
-
-// drainInflight retires this run's contribution to the inflight gauge
-// (the previous phase's workers are gone once a new phase starts or the
-// run ends).
-func (h *regRun) drainInflight() {
-	if h.lastInflight != 0 {
-		h.reg.inflight.Add(int64(-h.lastInflight))
-		h.lastInflight = 0
-	}
-	if h.lastExchQueue != 0 {
-		h.reg.exchangeQueue.Add(int64(-h.lastExchQueue))
-		h.lastExchQueue = 0
-	}
 }
 
 func (h *regRun) addDelta(cur core.PhaseStats) {
@@ -279,43 +218,9 @@ func (h *regRun) Progress(e core.ProgressEvent) {
 		Skipped:       e.Skipped,
 		Accelerations: e.Accelerations,
 	})
-	h.reg.prefetched.Add(int64(e.Prefetched - h.lastPrefetched))
-	h.lastPrefetched = e.Prefetched
-	h.reg.inflight.Add(int64(e.Inflight - h.lastInflight))
-	h.lastInflight = e.Inflight
-	h.reg.exchanged.Add(int64(e.Exchanged - h.lastExchanged))
-	h.lastExchanged = e.Exchanged
-	h.reg.exchangeQueue.Add(int64(e.ExchangeQueue - h.lastExchQueue))
-	h.lastExchQueue = e.ExchangeQueue
-	if m := imbalanceMilli(e.PartitionDepths); m > 0 {
-		h.reg.imbalanceMilli.Store(m)
-	}
 }
-
-// imbalanceMilli derives the partition-imbalance signal from a snapshot
-// of per-partition work depths: max over mean, in thousandths. Returns 0
-// when the snapshot carries no work (nothing to report).
-func imbalanceMilli(depths []int) int64 {
-	if len(depths) == 0 {
-		return 0
-	}
-	total, max := 0, 0
-	for _, d := range depths {
-		total += d
-		if d > max {
-			max = d
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	mean := float64(total) / float64(len(depths))
-	return int64(float64(max) / mean * 1000)
-}
-
 func (h *regRun) PhaseEnd(p core.Phase, ps core.PhaseStats) {
 	h.addDelta(ps)
-	h.drainInflight()
 	if i := phaseIdx(p); i >= 0 {
 		h.reg.phaseNanos[i].Add(int64(ps.Elapsed))
 	}
@@ -357,7 +262,6 @@ func (h *regRun) EngineDone(o core.EngineOutcome) {
 }
 
 func (h *regRun) Verdict(e core.VerdictEvent) {
-	h.drainInflight()
 	h.reg.runsActive.Add(-1)
 	h.reg.runsDone.Add(1)
 	switch e.Verdict {

@@ -87,9 +87,6 @@ property p of Main {
 		"timeout":    {Engine: EngineVerifas, TimeoutMS: 2000, MaxStates: 100},
 		"max_states": {Engine: EngineVerifas, TimeoutMS: 1000, MaxStates: 200},
 		"no_sp":      {Engine: EngineVerifas, TimeoutMS: 1000, MaxStates: 100, NoStatePruning: true},
-		// Relaxed runs may report different stats/traces than default
-		// runs, so they must not share a cache entry.
-		"relaxed": {Engine: EngineVerifas, TimeoutMS: 1000, MaxStates: 100, Relaxed: true},
 	} {
 		if got := cacheKey(f.System, prop, o); got == base {
 			t.Errorf("option %s did not change the key", name)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -95,7 +94,7 @@ type ReadyResponse struct {
 type StatsResponse struct {
 	Service MetricsSnapshot `json:"service"`
 	// Verifier is the aggregated engine-event registry (states explored,
-	// verdict counts, per-phase wall time, parallel-search utilization).
+	// verdict counts, per-phase wall time, portfolio outcomes).
 	Verifier json.RawMessage `json:"verifier"`
 	// CacheEntries is the resident (memory-tier) result-store
 	// population.
@@ -105,8 +104,6 @@ type StatsResponse struct {
 	// tier the configured store has ("memory" always; "disk" when the
 	// daemon runs with -store-dir).
 	Store store.Stats `json:"store"`
-	// JobWorkers reports the intra-run search parallelism in force.
-	JobWorkers JobWorkersInfo `json:"job_workers"`
 	// MemBudget reports the per-job `mem_budget` option's server default.
 	MemBudget MemBudgetInfo `json:"mem_budget"`
 	// Engines lists the engine labels the built-in dispatch accepts for
@@ -120,15 +117,6 @@ type StatsResponse struct {
 	// Leases is the cross-replica singleflight counter snapshot (absent
 	// when no lease manager is configured).
 	Leases *store.LeaseStats `json:"leases,omitempty"`
-}
-
-// JobWorkersInfo describes the per-job `workers` option's effective
-// range on this server.
-type JobWorkersInfo struct {
-	// Default applies when a job sets no workers option.
-	Default int `json:"default"`
-	// Cap is the clamp applied to requested values (GOMAXPROCS).
-	Cap int `json:"cap"`
 }
 
 // MemBudgetInfo describes the per-job `mem_budget` option's server
@@ -332,10 +320,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Verifier:     json.RawMessage(s.cfg.Registry.String()),
 		CacheEntries: s.store.Len(),
 		Store:        s.store.Stats(),
-		JobWorkers: JobWorkersInfo{
-			Default: s.cfg.JobWorkers,
-			Cap:     runtime.GOMAXPROCS(0),
-		},
 		MemBudget: MemBudgetInfo{
 			DefaultBytes: s.cfg.DefaultMemBudget,
 		},

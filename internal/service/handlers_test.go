@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -133,6 +134,36 @@ func TestBadRequestBodies(t *testing.T) {
 		ae, ok := err.(*client.APIError)
 		if !ok || ae.Status != 404 || ae.Code != "not-found" {
 			t.Errorf("unknown job: %v, want 404 not-found", err)
+		}
+	}
+}
+
+// TestRemovedOptionsRejected: there are no "workers" or "relaxed" job
+// options, so the strict decoder answers a body naming either with a
+// 400 bad-request that names the field.
+func TestRemovedOptionsRejected(t *testing.T) {
+	svc := service.NewServer(service.Config{Workers: 1})
+	ts := httptest.NewServer(svc.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		_ = svc.Shutdown(context.Background())
+	})
+	for _, opt := range []string{`"workers": 2`, `"relaxed": true`} {
+		body := `{"workflow": "OrderFulfillment", "property_src": "", "options": {` + opt + `}}`
+		resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json", bytes.NewBufferString(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eb service.ErrorBody
+		err = json.NewDecoder(resp.Body).Decode(&eb)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: error body is not the structured envelope: %v", opt, err)
+		}
+		field := opt[:strings.Index(opt, ":")]
+		if resp.StatusCode != 400 || eb.Error.Code != "bad-request" || !strings.Contains(eb.Error.Message, field) {
+			t.Errorf("%s: got %d %q (%s), want 400 bad-request naming %s",
+				opt, resp.StatusCode, eb.Error.Code, eb.Error.Message, field)
 		}
 	}
 }

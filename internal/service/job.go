@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"time"
 
@@ -83,21 +82,6 @@ type RequestOptions struct {
 	// SpinFresh is the spinlike engine's fresh-values-per-sort bound k
 	// (0 = 2, the benchmark default). Ignored by the verifas engine.
 	SpinFresh int `json:"spin_fresh,omitempty"`
-	// Workers sets the intra-run search parallelism (successor workers
-	// inside the Karp–Miller loop, or concurrent global valuations for
-	// the spinlike engine). 0 means the server default, 1 forces a
-	// sequential search; values above the server's GOMAXPROCS are
-	// clamped. Must be non-negative. The verdict is identical for any
-	// value, but the normalized worker count is still part of the
-	// result-cache key so stats stay reproducible per configuration.
-	Workers int `json:"workers,omitempty"`
-	// Relaxed switches the search to relaxed partitioned exploration
-	// (first-decision-wins valuation fan-out for the spinlike engine).
-	// The verdict agrees with the default mode, but stats and traces
-	// may differ — round-order exploration instead of sequential
-	// depth-first — so unlike Workers, Relaxed results are cached
-	// separately from default-mode results.
-	Relaxed bool `json:"relaxed,omitempty"`
 }
 
 // EngineOptions is the normalized form of RequestOptions with every
@@ -125,8 +109,6 @@ type EngineOptions struct {
 	MemBudget                int64    `json:"mem_budget"`
 	ProgressStride           int      `json:"progress_stride"`
 	SpinFresh                int      `json:"spin_fresh"`
-	Workers                  int      `json:"workers"`
-	Relaxed                  bool     `json:"relaxed"`
 }
 
 // Timeout returns the wall-clock bound as a duration.
@@ -261,8 +243,6 @@ type KeyDefaults struct {
 	MaxStates int
 	// MemBudget applies when a request sets no mem_budget (bytes).
 	MemBudget int64
-	// JobWorkers applies when a request sets no workers.
-	JobWorkers int
 }
 
 func (d KeyDefaults) withDefaults() KeyDefaults {
@@ -271,9 +251,6 @@ func (d KeyDefaults) withDefaults() KeyDefaults {
 	}
 	if d.MaxStates <= 0 {
 		d.MaxStates = core.DefaultMaxStates
-	}
-	if d.JobWorkers <= 0 {
-		d.JobWorkers = 1
 	}
 	return d
 }
@@ -285,7 +262,6 @@ func (s *Server) keyDefaults() KeyDefaults {
 		MaxTimeout: s.cfg.MaxTimeout,
 		MaxStates:  s.cfg.DefaultMaxStates,
 		MemBudget:  s.cfg.DefaultMemBudget,
-		JobWorkers: s.cfg.JobWorkers,
 	}
 }
 
@@ -404,10 +380,10 @@ func normalizeOptions(o *RequestOptions, d KeyDefaults) (EngineOptions, *apiErro
 	if o == nil {
 		o = &RequestOptions{}
 	}
-	if o.TimeoutMS < 0 || o.MaxStates < 0 || o.MemBudget < 0 || o.ProgressStride < 0 || o.SpinFresh < 0 || o.Workers < 0 {
+	if o.TimeoutMS < 0 || o.MaxStates < 0 || o.MemBudget < 0 || o.ProgressStride < 0 || o.SpinFresh < 0 {
 		return EngineOptions{}, badRequestf(codeBadOptions,
-			"options must be non-negative (timeout_ms=%d max_states=%d mem_budget=%d progress_stride=%d spin_fresh=%d workers=%d)",
-			o.TimeoutMS, o.MaxStates, o.MemBudget, o.ProgressStride, o.SpinFresh, o.Workers)
+			"options must be non-negative (timeout_ms=%d max_states=%d mem_budget=%d progress_stride=%d spin_fresh=%d)",
+			o.TimeoutMS, o.MaxStates, o.MemBudget, o.ProgressStride, o.SpinFresh)
 	}
 	if len(o.Engines) > 0 {
 		if o.Engine != "" {
@@ -442,8 +418,6 @@ func normalizeOptions(o *RequestOptions, d KeyDefaults) (EngineOptions, *apiErro
 		MemBudget:                o.MemBudget,
 		ProgressStride:           o.ProgressStride,
 		SpinFresh:                o.SpinFresh,
-		Workers:                  o.Workers,
-		Relaxed:                  o.Relaxed,
 	}
 	// Canonicalize the engine selection before the cache key is derived:
 	// a one-element portfolio IS that engine, and real portfolios get
@@ -473,16 +447,6 @@ func normalizeOptions(o *RequestOptions, d KeyDefaults) (EngineOptions, *apiErro
 	}
 	if e.SpinFresh == 0 {
 		e.SpinFresh = 2
-	}
-	if e.Workers == 0 {
-		e.Workers = d.JobWorkers
-	}
-	// Clamp rather than reject: the cap depends on the server's
-	// hardware, which clients cannot know. Clamping happens before the
-	// cache key is derived, so every request asking for "as many as you
-	// have" or more shares one entry.
-	if cap := runtime.GOMAXPROCS(0); e.Workers > cap {
-		e.Workers = cap
 	}
 	if d.MaxTimeout > 0 && e.Timeout() > d.MaxTimeout {
 		return EngineOptions{}, badRequestf(codeBadOptions,

@@ -95,10 +95,6 @@ type Config struct {
 	// per-run memory budget in bytes (default 0 = unlimited). Runs that
 	// exceed it end with a budget-exhausted verdict and partial stats.
 	DefaultMemBudget int64
-	// JobWorkers applies when a request sets no workers: the intra-run
-	// search parallelism of each verification (default 1 = sequential).
-	// Requested values are clamped to GOMAXPROCS at normalization.
-	JobWorkers int
 	// Registry receives every run's events for aggregate metrics; nil
 	// creates a private one.
 	Registry *obs.Registry
@@ -141,12 +137,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxTimeout > 0 && c.DefaultTimeout > c.MaxTimeout {
 		c.DefaultTimeout = c.MaxTimeout
-	}
-	if c.JobWorkers <= 0 {
-		c.JobWorkers = 1
-	}
-	if cap := runtime.GOMAXPROCS(0); c.JobWorkers > cap {
-		c.JobWorkers = cap
 	}
 	if c.DefaultMaxStates <= 0 {
 		c.DefaultMaxStates = core.DefaultMaxStates
@@ -237,8 +227,6 @@ func (o EngineOptions) budget(observer core.Observer) core.Budget {
 		MaxStates:      o.MaxStates,
 		MaxMemBytes:    o.MemBudget,
 		Timeout:        o.Timeout(),
-		Workers:        o.Workers,
-		Relaxed:        o.Relaxed,
 		Observer:       observer,
 		ProgressStride: o.ProgressStride,
 	}

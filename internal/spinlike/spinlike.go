@@ -26,8 +26,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"verifas/internal/core"
@@ -48,22 +46,6 @@ import (
 //     (state table plus records; 0 = unlimited). Exceeding it aborts
 //     with core.VerdictBudget and partial stats.
 //   - Timeout bounds wall-clock time (0 = none).
-//   - Workers bounds the goroutines checking independent global
-//     valuations concurrently (<= 1 = sequential). The verdict is
-//     identical to the sequential one — results are reduced in
-//     valuation order — but Stats.States may include extra states from
-//     valuations explored speculatively after the deciding one, and
-//     intermediate Progress events are suppressed. Properties without
-//     global variables have a single valuation and always run
-//     sequentially.
-//   - Relaxed (with Workers > 1) switches the valuation fan-out to
-//     first-decision-wins: the first valuation to decide settles the
-//     verdict and cancels the rest, instead of reducing in valuation
-//     order. Under ∀-semantics any deciding valuation is a sound
-//     certificate, so verdicts agree with the sequential reduce
-//     whenever budgets/timeouts do not intervene; which deciding
-//     valuation is reported (and hence Stats) becomes
-//     timing-dependent.
 //   - Observer, if non-nil, receives the run's event stream (the same
 //     core event model as core.Verify: PhaseCompile + PhaseReach with
 //     Progress snapshots, terminated by a Verdict event);
@@ -386,163 +368,17 @@ func (r *Result) coreStats() core.Stats {
 	}
 }
 
-// checkAllGlobals checks the property for every global valuation: the
-// property holds iff it holds for all of them. Sequentially it stops at
-// the first deciding (violated or timed-out) valuation. With
-// opts.Workers > 1 the independent valuations are checked concurrently
-// on isolated checker clones (the NDFS only ever mutates the clone's
-// overflow/interned counters) and the per-valuation results are reduced
-// in valuation order, so the verdict matches the sequential one; a
-// valuation is skipped only when an earlier one has already decided,
-// which the sequential loop would never have reached either.
+// checkAllGlobals checks the property for every global valuation, in
+// order: the property holds iff it holds for all of them, so the first
+// deciding (violated, timed-out or over-budget) valuation settles the run.
 func (c *checker) checkAllGlobals(gvs []fol.MapValuation) (bool, bool, bool) {
-	workers := c.opts.Workers
-	if workers > len(gvs) {
-		workers = len(gvs)
-	}
-	if workers <= 1 {
-		for _, gv := range gvs {
-			violated, timedOut, budget := c.checkForGlobals(gv)
-			if violated || timedOut || budget {
-				return violated, timedOut, budget
-			}
-		}
-		return false, false, false
-	}
-	if c.opts.Relaxed {
-		return c.checkAllGlobalsRelaxed(gvs, workers)
-	}
-
-	type gvResult struct {
-		violated, timedOut, budget bool
-		states                     int
-		memBytes                   int64
-	}
-	results := make([]gvResult, len(gvs))
-	var next atomic.Int64
-	// decided holds the lowest valuation index known to be deciding;
-	// len(gvs) means "none yet". Workers skip indexes above it.
-	var decided atomic.Int64
-	decided.Store(int64(len(gvs)))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(gvs) {
-					return
-				}
-				if int64(i) > decided.Load() {
-					continue
-				}
-				sub := *c
-				sub.overflow = false
-				sub.interned = 0
-				sub.memBytes = 0
-				sub.budgetHit = false
-				sub.obs = nil // per-run Observers are not concurrency-safe
-				violated, timedOut, budget := sub.checkForGlobals(gvs[i])
-				results[i] = gvResult{
-					violated: violated, timedOut: timedOut, budget: budget,
-					states: sub.interned, memBytes: sub.memBytes,
-				}
-				if violated || timedOut || budget {
-					for {
-						cur := decided.Load()
-						if int64(i) >= cur || decided.CompareAndSwap(cur, int64(i)) {
-							break
-						}
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	violated, timedOut, budget := false, false, false
-	for _, r := range results {
-		c.interned += r.states
-		c.memBytes += r.memBytes
-		if !violated && !timedOut && !budget {
-			violated, timedOut, budget = r.violated, r.timedOut, r.budget
+	for _, gv := range gvs {
+		violated, timedOut, budget := c.checkForGlobals(gv)
+		if violated || timedOut || budget {
+			return violated, timedOut, budget
 		}
 	}
-	// The parent's budgetHit drives the verdict mapping in Verify.
-	c.budgetHit = budget
-	return violated, timedOut, budget
-}
-
-// checkAllGlobalsRelaxed races the independent global valuations and
-// takes the first deciding result in completion order, cancelling the
-// rest (Options.Relaxed) — no ordered reduce, so the fan-out scales
-// with the slowest *deciding* valuation instead of every valuation
-// before it. Under ∀-semantics any deciding valuation is a sound
-// certificate for the verdict it reports; when several valuations
-// decide differently (violated vs timed-out), which one is reported is
-// timing-dependent.
-func (c *checker) checkAllGlobalsRelaxed(gvs []fol.MapValuation, workers int) (bool, bool, bool) {
-	baseCtx := c.ctx
-	if baseCtx == nil {
-		baseCtx = context.Background()
-	}
-	ctx, cancel := context.WithCancel(baseCtx)
-	defer cancel()
-
-	type gvResult struct {
-		violated, timedOut, budget bool
-		states                     int
-		memBytes                   int64
-	}
-	results := make([]gvResult, len(gvs))
-	var next atomic.Int64
-	// winner is the index of the first valuation to decide, -1 until
-	// then. The CAS makes exactly one decider the winner; its cancel()
-	// stops the losers mid-search (their partial results only feed the
-	// effort stats).
-	var winner atomic.Int64
-	winner.Store(-1)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(gvs) || winner.Load() >= 0 {
-					return
-				}
-				sub := *c
-				sub.ctx = ctx
-				sub.overflow = false
-				sub.interned = 0
-				sub.memBytes = 0
-				sub.budgetHit = false
-				sub.obs = nil // per-run Observers are not concurrency-safe
-				violated, timedOut, budget := sub.checkForGlobals(gvs[i])
-				results[i] = gvResult{
-					violated: violated, timedOut: timedOut, budget: budget,
-					states: sub.interned, memBytes: sub.memBytes,
-				}
-				if (violated || timedOut || budget) && winner.CompareAndSwap(-1, int64(i)) {
-					cancel()
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, r := range results {
-		c.interned += r.states
-		c.memBytes += r.memBytes
-	}
-	violated, timedOut, budget := false, false, false
-	if wi := winner.Load(); wi >= 0 {
-		r := results[wi]
-		violated, timedOut, budget = r.violated, r.timedOut, r.budget
-	}
-	c.budgetHit = budget
-	return violated, timedOut, budget
+	return false, false, false
 }
 
 func (c *checker) globalValuations() []fol.MapValuation {

@@ -700,8 +700,7 @@ func (ts *TaskSystem) ServiceAtoms() map[string]bool {
 // succScratch is the reusable per-call working set of Successors: the
 // dedup map (hash -> indices into out) and the growing output buffer.
 // Pooling both removes the two dominant allocations of the hot loop;
-// sync.Pool keeps the reuse safe when Successors runs concurrently on
-// exploration workers.
+// sync.Pool keeps the reuse safe when verifications run concurrently.
 type succScratch struct {
 	seen map[uint64][]int32
 	out  []Succ

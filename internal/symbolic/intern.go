@@ -20,18 +20,15 @@ import "sync"
 // scan work.
 //
 // The table is sharded by type hash: each shard has its own lock, hash
-// buckets and edge arena, so the partitioned exploration's workers —
-// which all intern every successor state they compute — contend only
-// when two goroutines intern hash-colliding types at the same instant,
-// instead of serializing on one global mutex. All methods are safe for
-// concurrent use.
+// buckets and edge arena. A verification interns from one goroutine, so
+// the locks are uncontended; they keep every method safe for concurrent
+// use.
 type Interner struct {
 	shards [internShards]internShard
 }
 
 // internShards is the number of independently locked shard tables. 64
-// keeps the per-shard structures tiny while making lock collisions
-// between a handful of search workers statistically negligible.
+// keeps the per-shard structures tiny.
 const internShards = 64
 
 // internShard is one lock's worth of the table: its own buckets, its own

@@ -240,32 +240,3 @@ func BenchmarkInternerIntern(b *testing.B) {
 		in.Intern(internShape(u, shapes[i%len(shapes)]))
 	}
 }
-
-// BenchmarkInternerContended runs 8 goroutines interning overlapping
-// pisotypes — the partitioned exploration's workers all intern every
-// successor they compute, so this is the shape of the real contention.
-// Guards the sharded-table rewrite: with a single global mutex this
-// serializes; with striped shards the goroutines mostly proceed in
-// parallel.
-func BenchmarkInternerContended(b *testing.B) {
-	u := benchUniverse(b)
-	shapes := internBenchShapes(b, u)
-	in := NewInterner()
-	const goroutines = 8
-	per := b.N/goroutines + 1
-	b.ReportAllocs()
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				// Offset start per goroutine so workers hit the same
-				// classes at different instants, like real partitions.
-				in.Intern(internShape(u, shapes[(g*7+i)%len(shapes)]))
-			}
-		}(g)
-	}
-	wg.Wait()
-}

@@ -1,22 +1,12 @@
 package vass
 
-import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"runtime"
-	"testing"
-	"time"
-
-	"verifas/internal/benchmark/envinfo"
-)
+import "testing"
 
 // benchVASS builds a conservative token-ring system: n tokens circulate
 // over dim counters via single-step and double-step moves. The token
 // count is invariant, so ω-acceleration never fires and the pruned tree
 // enumerates every reachable marking — a combinatorially large instance
-// (C(n+dim-1, dim-1) nodes) with real domination-pruning work on the
-// coordinator while workers generate successors.
+// (C(n+dim-1, dim-1) nodes) with real domination-pruning work.
 func benchVASS(n Count, dim int) *Vec {
 	c := make([]Count, dim)
 	c[0] = n
@@ -33,166 +23,19 @@ func benchVASS(n Count, dim int) *Vec {
 	return &Vec{Dim: dim, Init: VConfig{Loc: 0, C: c}, Trans: tr}
 }
 
-// slowSystem wraps a System with a fixed amount of CPU work per
-// Successors call, standing in for the expensive symbolic successor
-// computation (Extend/Project/Clone over partial isomorphism types)
-// that dominates real VERIFAS runs. Work is deterministic and pure, so
-// the exploration semantics are untouched.
-type slowSystem struct {
-	System
-	work int
-}
-
-func (s *slowSystem) Successors(st State) []Succ {
-	out := s.System.Successors(st)
-	x := uint64(1)
-	for i := 0; i < s.work; i++ {
-		x = x*6364136223846793005 + 1442695040888963407
-	}
-	if x == 42 {
-		panic("unreachable: keep the work loop live")
-	}
-	return out
-}
-
-func benchExplore(b *testing.B, sys System, workers, maxStates int) {
-	b.Helper()
+// BenchmarkExploreVec measures the search loop's own overhead on the
+// plain vector domain (~1.8k-node tree), where Successors is cheap and
+// the pruning bookkeeping dominates.
+func BenchmarkExploreVec(b *testing.B) {
+	sys := benchVASS(20, 4)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tree, err := Explore(sys, Options{
-			Prune:      true,
-			Accelerate: true,
-			MaxStates:  maxStates,
-			Workers:    workers,
-		})
-		if err != nil && err != ErrBudget {
+		tree, err := Explore(sys, Options{Prune: true, Accelerate: true})
+		if err != nil {
 			b.Fatal(err)
 		}
 		if tree.Created == 0 {
 			b.Fatal("empty exploration")
 		}
-	}
-}
-
-// BenchmarkExploreVec measures the raw coordinator overhead on the
-// plain vector domain (~1.8k-node tree), where Successors is too cheap
-// to parallelize — the interesting number is how little Workers>1 costs
-// when there is nothing to win.
-func BenchmarkExploreVec(b *testing.B) {
-	for _, w := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			benchExplore(b, benchVASS(20, 4), w, 0)
-		})
-	}
-}
-
-// BenchmarkExploreSlowSucc is the headline scaling benchmark: successor
-// generation carries symbolic-domain-like cost (~10µs per call over a
-// ~1.8k-node tree), and the worker pool should convert it into
-// near-linear speedup.
-func BenchmarkExploreSlowSucc(b *testing.B) {
-	for _, w := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			benchExplore(b, &slowSystem{System: benchVASS(20, 4), work: 20_000}, w, 0)
-		})
-	}
-}
-
-// benchModeEntry is one (mode, workers) timing of the scaling record.
-type benchModeEntry struct {
-	Workers  int     `json:"workers"`
-	Millis   float64 `json:"millis"`
-	SpeedupX float64 `json:"speedup_x"`
-}
-
-// timeExplore times one exploration of sys (best of `reps`: scheduling
-// noise only ever slows a run down) and returns milliseconds.
-func timeExplore(t testing.TB, sys System, opts Options, reps int) float64 {
-	t.Helper()
-	best := 0.0
-	for r := 0; r < reps; r++ {
-		start := time.Now()
-		if _, err := Explore(sys, opts); err != nil {
-			t.Fatal(err)
-		}
-		ms := float64(time.Since(start).Microseconds()) / 1000
-		if best == 0 || ms < best {
-			best = ms
-		}
-	}
-	return best
-}
-
-// benchScalingSweep times sys at the given worker counts in one mode
-// and returns the entries with speedups relative to workers=1.
-func benchScalingSweep(t testing.TB, sys System, relaxed bool, workerCounts []int, reps int) []benchModeEntry {
-	t.Helper()
-	var entries []benchModeEntry
-	base := 0.0
-	for _, w := range workerCounts {
-		ms := timeExplore(t, sys, Options{
-			Prune: true, Accelerate: true, Workers: w, Relaxed: relaxed,
-		}, reps)
-		if w == 1 {
-			base = ms
-		}
-		entries = append(entries, benchModeEntry{Workers: w, Millis: ms, SpeedupX: base / ms})
-	}
-	return entries
-}
-
-// TestWriteExploreBenchJSON emits the machine-readable scaling record
-// BENCH_explore.json when the BENCH_EXPLORE_JSON environment variable
-// names an output path (make bench-quick sets it). It times the
-// slow-successor instance at workers 1/2/4/8 in both the deterministic
-// (byte-identical tree) and relaxed (round-partitioned) modes and
-// records the speedups, with the shared envinfo header for
-// interpretation — speedup only manifests when GOMAXPROCS > 1; on a
-// single-CPU host the interesting number is the overhead staying near
-// zero.
-func TestWriteExploreBenchJSON(t *testing.T) {
-	path := os.Getenv("BENCH_EXPLORE_JSON")
-	if path == "" {
-		t.Skip("BENCH_EXPLORE_JSON not set")
-	}
-	// A multi-second sequential instance: ~5.5k-node token-ring tree with
-	// symbolic-domain-like successor cost.
-	sys := &slowSystem{System: benchVASS(30, 4), work: 150_000}
-	workerCounts := []int{1, 2, 4, 8}
-	rec := map[string]any{
-		"benchmark":     "vass.Explore slow-successor scaling",
-		"instance":      "token-ring n=30 dim=4, 150k work units per Successors call",
-		"env":           envinfo.Collect(),
-		"deterministic": benchScalingSweep(t, sys, false, workerCounts, 2),
-		"relaxed":       benchScalingSweep(t, sys, true, workerCounts, 2),
-	}
-	bts, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(bts, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s: det=%+v relaxed=%+v", path, rec["deterministic"], rec["relaxed"])
-}
-
-// TestMulticoreScalingGuard is the CI bench-multicore regression gate:
-// on a host with >= 4 CPUs, relaxed partitioned exploration at
-// workers=4 must beat the sequential run by at least 1.5x on the
-// slow-successor instance. Skipped below 4 CPUs, where the speedup
-// cannot physically exist (the single-CPU CI shards run the
-// correctness suites instead).
-func TestMulticoreScalingGuard(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 4 {
-		t.Skipf("GOMAXPROCS=%d < 4: multicore scaling cannot manifest", runtime.GOMAXPROCS(0))
-	}
-	sys := &slowSystem{System: benchVASS(28, 4), work: 100_000}
-	seq := timeExplore(t, sys, Options{Prune: true, Accelerate: true}, 2)
-	rel := timeExplore(t, sys, Options{Prune: true, Accelerate: true, Workers: 4, Relaxed: true}, 2)
-	speedup := seq / rel
-	t.Logf("sequential %.1fms, relaxed w=4 %.1fms: %.2fx", seq, rel, speedup)
-	if speedup < 1.5 {
-		t.Errorf("relaxed w=4 speedup %.2fx < 1.5x on %d CPUs — partitioned scaling regressed",
-			speedup, runtime.GOMAXPROCS(0))
 	}
 }

@@ -1,6 +1,7 @@
 package vass
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -94,6 +95,40 @@ func TestZeroMemBudgetUnlimited(t *testing.T) {
 	}
 	if _, err := Explore(v, Options{Prune: true, Accelerate: true, MaxMemBytes: 0}); err != nil {
 		t.Fatalf("zero budget must mean unlimited: %v", err)
+	}
+}
+
+// wideLoop is an infinite system with high branching: every transition
+// bumps a different counter pair, so without pruning the frontier widens
+// geometrically.
+func wideLoop() *Vec {
+	const dim = 4
+	v := &Vec{Dim: dim, Init: VConfig{Loc: 0, C: make([]Count, dim)}}
+	for i := 0; i < dim; i++ {
+		for j := 0; j < dim; j++ {
+			d := make([]Count, dim)
+			d[i]++
+			d[j]++
+			v.Trans = append(v.Trans, VTrans{From: 0, To: 0, Delta: d})
+		}
+	}
+	return v
+}
+
+// TestMemBudgetBounded checks that ErrMemBudget fires close to the limit:
+// the committed tree may overshoot by at most one node's successor batch.
+func TestMemBudgetBounded(t *testing.T) {
+	const limit = 64_000
+	// One processed node commits at most 16 successors (the branching of
+	// wideLoop) between budget checks.
+	const slack = 16 * (nodeOverheadBytes + defaultStateBytes)
+	tree, err := Explore(wideLoop(), Options{MaxMemBytes: limit})
+	if !errors.Is(err, ErrMemBudget) {
+		t.Fatalf("got %v, want ErrMemBudget", err)
+	}
+	if tree.MemBytes > limit+slack {
+		t.Errorf("committed %d bytes, limit %d (+%d slack): budget enforced too late",
+			tree.MemBytes, limit, slack)
 	}
 }
 

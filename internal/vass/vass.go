@@ -69,9 +69,6 @@ type Node struct {
 	// subtreeKilled caches that this node and every descendant are
 	// inactive, making repeated deactivation sweeps O(1).
 	subtreeKilled bool
-	// task is the node's pending successor prefetch when the exploration
-	// runs with Workers > 1; nil in sequential mode.
-	task *succTask
 }
 
 // nodeArena hands out Node values from fixed-size blocks. Blocks are
@@ -135,35 +132,13 @@ type Options struct {
 	// StateBytes estimates (see Sized) plus MemExtra — exceed this budget
 	// (0 = unlimited). The estimate is deterministic accounting, not a
 	// heap measurement: the same search hits the same cutoff on every
-	// run (modulo MemExtra, whose sampling point can shift with
-	// Workers > 1, exactly like wall-clock timeouts).
+	// run, provided MemExtra is itself deterministic.
 	MaxMemBytes int64
 	// MemExtra, if set, reports additional retained bytes charged
 	// against MaxMemBytes beyond the per-node estimates — typically the
 	// shared intern table, which per-state estimates must exclude to
 	// avoid double counting.
 	MemExtra func() int64
-	// Workers sets the number of goroutines that precompute
-	// System.Successors for frontier nodes. Values <= 1 keep the
-	// exploration fully sequential. With N > 1 workers the expensive,
-	// pure successor computation runs concurrently while a single
-	// coordinator goroutine commits results through the pruning/index
-	// path in the exact sequential order, so the produced tree (node
-	// IDs, labels, active set, stats) is identical for any worker
-	// count. Successors must be a pure function of the state for this
-	// to be sound (all domain implementations in this repo are).
-	Workers int
-	// Relaxed switches to round-based partitioned frontier exploration
-	// (see exploreRelaxed): the active frontier is sharded across
-	// Workers partitions by state hash, each round's successor
-	// computations run fully in parallel, and a merger commits the
-	// round in canonical (frontier, successor) order. The result is
-	// still deterministic — identical tree, stats, and lassos for every
-	// worker count — but it is the round-order tree, not the sequential
-	// depth-first one, so verdict-level equivalence (coverability, not
-	// byte-identity) is the contract against Relaxed=false. Off by
-	// default.
-	Relaxed bool
 	// Ctx cooperatively cancels the search (nil = never). Timeouts are
 	// expressed as context deadlines; once the context is done, Explore
 	// stops promptly and returns ctx.Err().
@@ -200,31 +175,9 @@ type Progress struct {
 	Skipped  int
 	// Accelerations counts applications of the accel operator.
 	Accelerations int
-	// Workers is the configured successor-worker count (0 when the
-	// exploration runs sequentially).
-	Workers int
-	// Inflight is the number of successor computations currently
-	// claimed by workers (instantaneous, 0 when sequential).
-	Inflight int
-	// Prefetched counts processed nodes whose successor sets were
-	// served by a worker rather than computed inline; Prefetched /
-	// Created approximates worker utilization.
-	Prefetched int
-	// MemBytes is the estimated retained bytes of the tree so far
-	// (per-node estimates plus speculative worker charges plus
-	// MemExtra; see Options.MaxMemBytes).
+	// MemBytes is the estimated retained bytes of the tree so far plus
+	// MemExtra (see Options.MaxMemBytes).
 	MemBytes int64
-	// PartitionDepths is the per-partition pending-work depth: prefetch
-	// stack depths in deterministic mode, owned-frontier sizes in
-	// relaxed mode. Nil when sequential. max/mean over this slice is
-	// the partition-imbalance signal surfaced by the obs registry.
-	PartitionDepths []int
-	// Exchanged counts successors routed between partitions so far
-	// (relaxed mode only).
-	Exchanged int
-	// ExchangeQueue is the peak buffered cross-partition successor
-	// count observed at the merger (relaxed mode only).
-	ExchangeQueue int
 }
 
 // DefaultProgressStride is the node-creation stride between OnProgress
@@ -250,9 +203,10 @@ type Sized interface {
 	StateBytes(s State) int
 }
 
-// Per-node accounting constants: the Node struct plus its Tree.Nodes and
-// byKey entries, and the fallback state estimate when the System does not
-// implement Sized.
+// Per-node accounting constants: the Node struct plus its Tree.Nodes
+// entry and index bookkeeping, and the fallback state estimate when the
+// System does not implement Sized. The overhead is a fixed charge, so the
+// estimate does not depend on which optional structures a search keeps.
 const (
 	nodeOverheadBytes = 136
 	defaultStateBytes = 160
@@ -289,18 +243,14 @@ func (t *Tree) Active() []*Node {
 // until a callback stops it, or until the state budget is exceeded
 // (ErrBudget), or until opts.Ctx is done (its ctx.Err()).
 func Explore(sys System, opts Options) (*Tree, error) {
-	if opts.Relaxed {
-		return exploreRelaxed(sys, opts)
-	}
-	e := &explorer{sys: sys, opts: opts, tree: &Tree{}, byKey: map[uint64][]*Node{}}
+	e := &explorer{sys: sys, opts: opts, tree: &Tree{}}
 	e.sized, _ = sys.(Sized)
-	if opts.UseIndex && opts.Prune {
-		e.idx = newClassIndex()
-	}
-	e.budget = &budgetPool{limit: opts.MaxMemBytes}
-	if opts.Workers > 1 {
-		e.pool = newPrefetchPool(sys, opts.Workers, e.budget)
-		defer e.pool.shutdown()
+	if opts.Prune {
+		if opts.UseIndex {
+			e.idx = newClassIndex()
+		}
+	} else {
+		e.byKey = map[uint64][]*Node{}
 	}
 	stride := opts.ProgressStride
 	if stride <= 0 {
@@ -311,21 +261,14 @@ func Explore(sys System, opts Options) (*Tree, error) {
 	// snapshot (emitted on every exit path below) guarantees at least one
 	// even for searches smaller than the stride.
 	emitProgress := func(frontier int) {
-		p := Progress{
+		opts.OnProgress(Progress{
 			Created:       e.tree.Created,
 			Frontier:      frontier,
 			Pruned:        e.tree.Pruned,
 			Skipped:       e.tree.Skipped,
 			Accelerations: e.tree.Accelerations,
-		}
-		if e.pool != nil {
-			p.Workers = e.pool.workers
-			p.Inflight = int(e.pool.inflight.Load())
-			p.Prefetched = e.prefetched
-			p.PartitionDepths = e.pool.depths()
-		}
-		p.MemBytes = e.memTotal()
-		opts.OnProgress(p)
+			MemBytes:      e.memTotal(),
+		})
 	}
 	var work []*Node
 	finish := func(t *Tree, err error) (*Tree, error) {
@@ -367,7 +310,7 @@ func Explore(sys System, opts Options) (*Tree, error) {
 			continue
 		}
 		n.processed = true
-		for _, sc := range e.fetchSuccessors(n) {
+		for _, sc := range sys.Successors(n.S) {
 			// Reynier-Servais processes (node, transition) pairs and
 			// drops pairs whose source has been deactivated — possibly
 			// by a sibling successor created moments ago. Without this
@@ -396,9 +339,11 @@ func Explore(sys System, opts Options) (*Tree, error) {
 }
 
 type explorer struct {
-	sys   System
-	opts  Options
-	tree  *Tree
+	sys  System
+	opts Options
+	tree *Tree
+	// byKey buckets every node by state hash for the classic
+	// algorithm's duplicate filter (nil with Prune, which never reads it).
 	byKey map[uint64][]*Node
 	// idx indexes every node by its ID (nil without UseIndex and Prune).
 	idx  *classIndex
@@ -407,51 +352,25 @@ type explorer struct {
 	arena nodeArena
 	// sized is non-nil when the System reports per-state byte estimates.
 	sized Sized
-	// pool is the successor prefetch pool (nil when Workers <= 1).
-	pool *prefetchPool
-	// budget is the shared memory-budget ledger: workers charge
-	// speculative successor bytes into it, the coordinator publishes
-	// the committed tree size (nil only in tests constructing explorer
-	// directly).
-	budget *budgetPool
-	// prefetched counts nodes whose successors a worker served.
-	prefetched int
 }
 
-// memTotal is the budget-accounting sum: tree estimate plus
-// uncommitted speculative worker charges plus shared extras (intern
-// table).
+// memTotal is the budget-accounting sum: the tree estimate plus shared
+// extras (intern table).
 func (e *explorer) memTotal() int64 {
 	total := e.tree.MemBytes
-	if e.budget != nil {
-		total += e.budget.charged.Load()
-	}
 	if e.opts.MemExtra != nil {
 		total += e.opts.MemExtra()
 	}
 	return total
 }
 
-// fetchSuccessors returns succ(n.S): computed inline in sequential mode,
-// and in parallel mode either collected from the worker that claimed the
-// node's prefetch task or — when no worker got to it yet — claimed back
-// and computed inline so the coordinator never stalls behind busy
-// workers. Every path yields the same slice contents because Successors
-// is pure.
-func (e *explorer) fetchSuccessors(n *Node) []Succ {
-	t := n.task
-	if t == nil {
-		return e.sys.Successors(n.S)
+// stateBytesOf is the per-state component of the memory-accounting
+// estimate (see Options.MaxMemBytes).
+func (e *explorer) stateBytesOf(s State) int {
+	if e.sized != nil {
+		return e.sized.StateBytes(s)
 	}
-	n.task = nil
-	if t.claimed.CompareAndSwap(false, true) {
-		e.pool.settle(t)
-		return e.sys.Successors(n.S)
-	}
-	<-t.done
-	e.pool.settle(t)
-	e.prefetched++
-	return t.out
+	return defaultStateBytes
 }
 
 // accelerate applies the accel operator against all active ancestors.
@@ -477,7 +396,6 @@ func (e *explorer) accelerate(parent *Node, s State) State {
 // skipped (dominated or duplicate).
 func (e *explorer) newNode(s State, label any, parent *Node) *Node {
 	var key uint64
-	keyed := false
 	var class uint64
 	var set []uint64
 	if e.idx != nil {
@@ -504,20 +422,13 @@ func (e *explorer) newNode(s State, label any, parent *Node) *Node {
 	} else {
 		// Classic algorithm: skip exact duplicates of existing nodes
 		// (the "I'' ∈ T" test of Algorithm 1).
-		key, keyed = e.sys.Key(s), true
+		key = e.sys.Key(s)
 		for _, m := range e.byKey[key] {
 			if e.sys.Equal(m.S, s) {
 				e.tree.Skipped++
 				return nil
 			}
 		}
-	}
-	if !keyed {
-		// Hash once for the byKey insert below; skipped states above
-		// never pay for it. With a prefetch pool this also seals lazily
-		// cached state internals (PSI.Key memoization) on the
-		// coordinator before the state is published to workers.
-		key = e.sys.Key(s)
 	}
 	n := e.arena.alloc()
 	*n = Node{
@@ -528,9 +439,6 @@ func (e *explorer) newNode(s State, label any, parent *Node) *Node {
 	e.tree.Nodes = append(e.tree.Nodes, n)
 	e.tree.Created++
 	e.tree.MemBytes += int64(nodeOverheadBytes + e.stateBytesOf(s))
-	if e.budget != nil {
-		e.budget.treeBytes.Store(e.tree.MemBytes)
-	}
 	if parent == nil {
 		e.tree.Roots = append(e.tree.Roots, n)
 	} else {
@@ -546,15 +454,14 @@ func (e *explorer) newNode(s State, label any, parent *Node) *Node {
 			a.subtreeKilled = false
 		}
 	}
-	e.byKey[key] = append(e.byKey[key], n)
+	if e.byKey != nil {
+		e.byKey[key] = append(e.byKey[key], n)
+	}
 	if e.idx != nil {
 		e.idx.insert(n.ID, class, set)
 	}
 	if e.opts.OnNode != nil && e.opts.OnNode(n) {
 		e.stop = true
-	}
-	if e.pool != nil && !e.stop {
-		n.task = e.pool.add(n, key)
 	}
 	return n
 }
@@ -562,14 +469,6 @@ func (e *explorer) newNode(s State, label any, parent *Node) *Node {
 func (e *explorer) deactivateSubtree(m *Node) {
 	if m.subtreeKilled {
 		return
-	}
-	// Tell any worker holding this node's prefetch task that the result
-	// will never be consumed: a deactivated node is skipped by the main
-	// loop, so its speculative successor computation can be dropped.
-	if m.task != nil {
-		m.task.stale.Store(true)
-		e.pool.settle(m.task)
-		m.task = nil
 	}
 	if m.Active {
 		m.Active = false

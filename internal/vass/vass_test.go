@@ -156,31 +156,74 @@ func TestQuickPrunedEquivalentToClassic(t *testing.T) {
 	}
 }
 
-// Property: the index only prefilters candidates, so with it the
-// exploration builds exactly the tree it builds without it — in the
-// sequential and the relaxed schedule. Vec's class is the location, so
-// the per-class split is exercised.
-func TestQuickIndexTransparent(t *testing.T) {
-	profiles := []Options{
-		{Prune: true, Accelerate: true, MaxStates: 5000},
-		{Prune: true, Accelerate: true, MaxStates: 5000, Relaxed: true, Workers: 2},
+// treesIdentical asserts that two exploration results are byte-for-byte
+// the same tree: node count, per-node ID/label/parent/active flag/state,
+// root order, stop flag and every stats counter.
+func treesIdentical(t *testing.T, sys System, a, b *Tree) bool {
+	t.Helper()
+	if len(a.Nodes) != len(b.Nodes) {
+		t.Logf("node counts differ: %d vs %d", len(a.Nodes), len(b.Nodes))
+		return false
 	}
+	for i := range a.Nodes {
+		na, nb := a.Nodes[i], b.Nodes[i]
+		if na.ID != nb.ID || na.Label != nb.Label || na.Active != nb.Active {
+			t.Logf("node %d differs: id=%d/%d label=%v/%v active=%v/%v",
+				i, na.ID, nb.ID, na.Label, nb.Label, na.Active, nb.Active)
+			return false
+		}
+		if (na.Parent == nil) != (nb.Parent == nil) {
+			t.Logf("node %d parent presence differs", i)
+			return false
+		}
+		if na.Parent != nil && na.Parent.ID != nb.Parent.ID {
+			t.Logf("node %d parent differs: %d vs %d", i, na.Parent.ID, nb.Parent.ID)
+			return false
+		}
+		if !sys.Equal(na.S, nb.S) {
+			t.Logf("node %d state differs: %v vs %v", i, na.S, nb.S)
+			return false
+		}
+	}
+	if len(a.Roots) != len(b.Roots) {
+		t.Logf("root counts differ: %d vs %d", len(a.Roots), len(b.Roots))
+		return false
+	}
+	for i := range a.Roots {
+		if a.Roots[i].ID != b.Roots[i].ID {
+			t.Logf("root %d differs: %d vs %d", i, a.Roots[i].ID, b.Roots[i].ID)
+			return false
+		}
+	}
+	if a.Stopped != b.Stopped || a.Created != b.Created || a.Pruned != b.Pruned ||
+		a.Skipped != b.Skipped || a.Accelerations != b.Accelerations {
+		t.Logf("stats differ: %+v vs %+v",
+			[5]any{a.Stopped, a.Created, a.Pruned, a.Skipped, a.Accelerations},
+			[5]any{b.Stopped, b.Created, b.Pruned, b.Skipped, b.Accelerations})
+		return false
+	}
+	return true
+}
+
+// Property: the index only prefilters candidates, so with it the
+// exploration builds exactly the tree it builds without it. Vec's class
+// is the location, so the per-class split is exercised.
+func TestQuickIndexTransparent(t *testing.T) {
+	base := Options{Prune: true, Accelerate: true, MaxStates: 5000}
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		v := randomVASS(r)
-		for _, base := range profiles {
-			scan, err1 := Explore(v, base)
-			indexed := base
-			indexed.UseIndex = true
-			got, err2 := Explore(v, indexed)
-			if !errors.Is(err1, err2) && !errors.Is(err2, err1) {
-				t.Logf("errors differ: %v vs %v", err1, err2)
-				return false
-			}
-			if !treesIdentical(t, v, scan, got) {
-				t.Logf("indexed tree differs (profile %+v, VASS %+v)", base, v)
-				return false
-			}
+		scan, err1 := Explore(v, base)
+		indexed := base
+		indexed.UseIndex = true
+		got, err2 := Explore(v, indexed)
+		if !errors.Is(err1, err2) && !errors.Is(err2, err1) {
+			t.Logf("errors differ: %v vs %v", err1, err2)
+			return false
+		}
+		if !treesIdentical(t, v, scan, got) {
+			t.Logf("indexed tree differs (VASS %+v)", v)
+			return false
 		}
 		return true
 	}
@@ -403,5 +446,38 @@ func TestPathAndAncestors(t *testing.T) {
 	}
 	if !path[0].IsAncestorOf(leaf) || leaf.IsAncestorOf(path[0]) {
 		t.Error("ancestor relation wrong")
+	}
+}
+
+// keyCountingVec counts System.Key calls.
+type keyCountingVec struct {
+	*Vec
+	keys int
+}
+
+func (k *keyCountingVec) Key(s State) uint64 {
+	k.keys++
+	return k.Vec.Key(s)
+}
+
+// TestPruneNeverHashes checks that only the classic algorithm hashes
+// states: its duplicate filter is the one reader of the state-hash
+// buckets, so the pruning search must not build them.
+func TestPruneNeverHashes(t *testing.T) {
+	for _, useIndex := range []bool{false, true} {
+		v := &keyCountingVec{Vec: wideLoop()}
+		if _, err := Explore(v, Options{Prune: true, Accelerate: true, UseIndex: useIndex}); err != nil {
+			t.Fatal(err)
+		}
+		if v.keys != 0 {
+			t.Errorf("UseIndex=%v: pruning search hashed %d states", useIndex, v.keys)
+		}
+	}
+	v := &keyCountingVec{Vec: wideLoop()}
+	if _, err := Explore(v, Options{Accelerate: true}); err != nil {
+		t.Fatal(err)
+	}
+	if v.keys == 0 {
+		t.Error("classic search never hashed a state")
 	}
 }
