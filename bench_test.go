@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"verifas/internal/benchmark"
-	"verifas/internal/core"
 )
 
 func quickConfig() benchmark.Config {
@@ -188,52 +187,4 @@ func BenchmarkRepeatedReachabilityOverhead(b *testing.B) {
 		}
 		b.ReportMetric(100*s/float64(len(overheads)), "overhead-pct")
 	}
-}
-
-// BenchmarkRRStrategyAblation compares the default classical
-// repeated-reachability phase with the opt-in Appendix C ⪯+ variant
-// (an ablation of the design choice documented in DESIGN.md).
-func BenchmarkRRStrategyAblation(b *testing.B) {
-	cfg := quickConfig()
-	specs := smallReal(b)
-	for _, mode := range []struct {
-		name       string
-		aggressive bool
-	}{{"classicalRR", false}, {"appendixC-RR", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var fails int
-			var total time.Duration
-			n := 0
-			for i := 0; i < b.N; i++ {
-				for si, spec := range specs {
-					props := benchmark.Properties(spec.Sys, cfg.Seed+int64(si))
-					for _, prop := range props[6:10] { // liveness/fairness rows
-						r := runWithRRMode(spec, prop, mode.aggressive, cfg)
-						if r.Fail {
-							fails++
-						}
-						total += r.Time
-						n++
-					}
-				}
-			}
-			if n > 0 {
-				b.ReportMetric(float64(fails), "fails")
-				b.ReportMetric(float64(total.Milliseconds())/float64(n), "avg-ms")
-			}
-		})
-	}
-}
-
-func runWithRRMode(spec *benchmark.Spec, prop *core.Property, aggressive bool, cfg benchmark.Config) benchmark.Run {
-	res, err := core.Verify(context.Background(), spec.Sys, prop, core.Options{Budget: core.Budget{MaxStates: cfg.MaxStates, Timeout: cfg.Timeout}, AggressiveRR: aggressive})
-	run := benchmark.Run{Spec: spec, Template: prop.Name}
-	if err != nil {
-		run.Fail = true
-		return run
-	}
-	run.Time = res.Stats.Elapsed
-	run.Fail = res.Stats.TimedOut
-	run.Verdict = res.Verdict
-	return run
 }

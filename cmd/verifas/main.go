@@ -245,7 +245,6 @@ func run() int {
 				}
 				printPhase("reach", res.Stats.Reachability)
 				printPhase("rr", res.Stats.RR)
-				printPhase("confirm", res.Stats.Confirm)
 			}
 			return sb.String(), code
 		}

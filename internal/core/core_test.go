@@ -256,7 +256,6 @@ func TestOptionsMatrixAgreement(t *testing.T) {
 		"noSP":    {NoStatePruning: true},
 		"noSA":    {NoStaticAnalysis: true},
 		"noDSS":   {NoIndexes: true},
-		"safeRR":  {AggressiveRR: false},
 		"noneOpt": {NoStatePruning: true, NoStaticAnalysis: true, NoIndexes: true},
 	}
 	for _, c := range cases {

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"context"
+	"os"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"verifas/internal/fol"
 	"verifas/internal/has"
 	"verifas/internal/ltl"
+	"verifas/internal/spec"
 	"verifas/internal/spinlike"
 	"verifas/internal/synth"
 	"verifas/internal/workflows"
@@ -153,29 +155,25 @@ func TestCrossCheckSynthetic(t *testing.T) {
 	}
 }
 
-// TestAggressiveRRConfirmed documents the Appendix C behaviour: with
-// confirmation on (the default for AggressiveRR), any violation reported
-// agrees with the classical method.
-func TestAggressiveRRConfirmed(t *testing.T) {
-	sys := workflows.OrderFulfillment(false)
-	props := []*core.Property{
-		{Task: "ProcessOrders", Formula: ltl.MustParse(`F open(ShipItem)`)},
-		{Task: "ProcessOrders", Formula: ltl.MustParse(`F close(TakeOrder)`)},
-		{
-			Task:    "ProcessOrders",
-			Conds:   map[string]fol.Formula{"p": fol.MustParse(`status == "Init"`)},
-			Formula: ltl.MustParse(`G F p`),
-		},
+// TestRROmegaDominatedCycle verifies a real-suite property violated only
+// by an infinite run whose accepting cycle the reachability phase's ω
+// states dominate. The paper's Appendix C ⪯+ search, pruned against those
+// states, created no state on it and answered "holds"; repeated
+// reachability must report the cycle.
+func TestRROmegaDominatedCycle(t *testing.T) {
+	src, err := os.ReadFile("../../testdata/rr-omega-dominated.has")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, prop := range props {
-		classical := xVerify(t, sys, prop, core.Options{})
-		aggressive := xVerify(t, sys, prop, core.Options{AggressiveRR: true})
-		// A confirmed aggressive violation must agree with the classical
-		// verdict; an aggressive "holds" may in principle be wrong (the
-		// documented limitation), so only the violation side is checked.
-		if !aggressive.Holds() && classical.Holds() {
-			t.Errorf("%s: aggressive RR reports a violation the classical method rejects", ltl.String(prop.Formula))
-		}
-		t.Logf("%s: classical=%v aggressive=%v", ltl.String(prop.Formula), classical.Holds(), aggressive.Holds())
+	f, err := spec.Parse(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := xVerify(t, f.System, f.Properties[0], core.Options{})
+	if res.Verdict != core.VerdictViolated {
+		t.Fatalf("verdict = %v, want violated", res.Verdict)
+	}
+	if v := res.Violation; v.Kind != "cycle" || len(v.Cycle) == 0 {
+		t.Errorf("violation kind %q with %d cycle steps, want a non-empty cycle", v.Kind, len(v.Cycle))
 	}
 }

@@ -22,9 +22,9 @@ type Verifier func(ctx context.Context, sys *has.System, prop *Property) (*Resul
 type Capabilities struct {
 	// BoundedHolds marks engines whose "holds" verdict only covers the
 	// state space up to an exploration bound (the spin-like baseline's
-	// bounded fresh-value domain, or the aggressive-RR mode whose
-	// "holds" is not re-confirmed classically). Their "violated"
-	// verdicts remain witnesses; their "holds" verdicts are advisory.
+	// bounded fresh-value domain, or VERIFAS-noRR, which skips the
+	// infinite-run module). Their "violated" verdicts remain witnesses;
+	// their "holds" verdicts are advisory.
 	BoundedHolds bool `json:"bounded_holds,omitempty"`
 	// Lossy marks engines that may silently merge distinct states
 	// (spinlike's bitstate hashing): "holds" may be wrong even within
@@ -118,9 +118,8 @@ func NewEngine(name string, caps Capabilities, run Verifier) Engine {
 
 // Verifas binds a fixed Options configuration into an Engine running
 // Verify. The engine is named after the configuration (EngineName) and
-// declares IgnoresSets for the NoSet variant and BoundedHolds for the
-// modes whose "holds" is not exhaustive (noRR skips the infinite-run
-// module; aggRR's "holds" is not re-confirmed classically).
+// declares IgnoresSets for the NoSet variant and BoundedHolds for noRR,
+// whose "holds" is not exhaustive: it skips the infinite-run module.
 func Verifas(opts Options) Engine {
 	return NewEngine(EngineName(opts), opts.caps(), func(ctx context.Context, sys *has.System, prop *Property) (*Result, error) {
 		return Verify(ctx, sys, prop, opts)
@@ -131,7 +130,7 @@ func Verifas(opts Options) Engine {
 func (o Options) caps() Capabilities {
 	return Capabilities{
 		IgnoresSets:  o.IgnoreSets,
-		BoundedHolds: o.SkipRepeatedReachability || o.AggressiveRR,
+		BoundedHolds: o.SkipRepeatedReachability,
 	}
 }
 
@@ -144,8 +143,8 @@ func EngineName(opts Options) string {
 
 // Variant returns the canonical name of the configuration, used as the
 // table label in the evaluation harness: "VERIFAS" for the full
-// configuration, with "-NoSet", "-noSP", "-noSA", "-noDSS", "-noRR",
-// "-aggRR" suffixes for each disabled optimization or mode switch.
+// configuration, with "-NoSet", "-noSP", "-noSA", "-noDSS", "-noRR"
+// suffixes for each disabled optimization.
 // Budget fields (MaxStates, Timeout) and observers do not contribute.
 func (o Options) Variant() string {
 	var sb strings.Builder
@@ -164,9 +163,6 @@ func (o Options) Variant() string {
 	}
 	if o.SkipRepeatedReachability {
 		sb.WriteString("-noRR")
-	}
-	if o.AggressiveRR {
-		sb.WriteString("-aggRR")
 	}
 	return sb.String()
 }

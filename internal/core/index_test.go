@@ -13,8 +13,8 @@ import (
 
 // searchStats returns the deterministic counters of each search phase:
 // everything but the wall-clock durations.
-func searchStats(s core.Stats) [3]core.PhaseStats {
-	out := [3]core.PhaseStats{s.Reachability, s.RR, s.Confirm}
+func searchStats(s core.Stats) [2]core.PhaseStats {
+	out := [2]core.PhaseStats{s.Reachability, s.RR}
 	for i := range out {
 		out[i].Elapsed = 0
 	}

@@ -25,8 +25,8 @@ const (
 	// PhaseRR: the repeated-reachability search for infinite-run
 	// violations (Section 3.8).
 	PhaseRR Phase = "repeated-reachability"
-	// PhaseRRConfirm: the classical re-confirmation of a violation found
-	// by the opt-in Appendix C aggressive phase.
+	// PhaseRRConfirm is never emitted; removed at the next benchmark
+	// change.
 	PhaseRRConfirm Phase = "rr-confirmation"
 )
 

@@ -283,7 +283,6 @@ func TestVariantNames(t *testing.T) {
 		{Options{NoStaticAnalysis: true}, "VERIFAS-noSA"},
 		{Options{NoIndexes: true}, "VERIFAS-noDSS"},
 		{Options{SkipRepeatedReachability: true}, "VERIFAS-noRR"},
-		{Options{AggressiveRR: true}, "VERIFAS-aggRR"},
 		{Options{NoStatePruning: true, NoIndexes: true}, "VERIFAS-noSP-noDSS"},
 		{Options{Budget: Budget{MaxStates: 10, Timeout: time.Second, ProgressStride: 1}}, "VERIFAS"},
 	}

@@ -130,7 +130,7 @@ func statsEqual(a, b core.Stats) bool {
 	}
 	return a.BuchiStates == b.BuchiStates && a.TimedOut == b.TimedOut &&
 		a.BudgetExhausted == b.BudgetExhausted &&
-		phase(a.Reachability, b.Reachability) && phase(a.RR, b.RR) && phase(a.Confirm, b.Confirm)
+		phase(a.Reachability, b.Reachability) && phase(a.RR, b.RR)
 }
 
 func violationEqual(a, b *core.Violation) bool {

@@ -124,7 +124,7 @@ func TestRegistry(t *testing.T) {
 
 	vr := core.NewRegistry()
 	core.RegisterVerifas(vr)
-	want := []string{"verifas", "verifas-noset", "verifas-nosp", "verifas-nosa", "verifas-nodss", "verifas-norr", "verifas-aggrr"}
+	want := []string{"verifas", "verifas-noset", "verifas-nosp", "verifas-nosa", "verifas-nodss", "verifas-norr"}
 	names := vr.Names()
 	if len(names) != len(want) {
 		t.Fatalf("RegisterVerifas names = %v, want %v", names, want)

@@ -37,9 +37,6 @@ const (
 	OrderLeq Order = iota
 	// OrderPrecedes is the ⪯ relation of Section 3.5.
 	OrderPrecedes
-	// OrderPrecedesStrict is the ⪯+ relation of Appendix C (equality, or
-	// ⪯ with slack), used by the repeated-reachability phase.
-	OrderPrecedesStrict
 )
 
 // buchiStateInfo precompiles the literal requirements of one Büchi state
@@ -63,10 +60,6 @@ type product struct {
 	buchi *ltl.Buchi
 	info  []buchiStateInfo
 	order Order
-
-	// extraDominators lets the repeated-reachability phase prune against
-	// the first phase's ω states (Appendix C).
-	extraDominators []*PState
 
 	// ctx, when non-nil, truncates successor expansion once done, so that
 	// a single highly-branching state cannot delay the search's
@@ -222,29 +215,10 @@ func (p *product) Leq(a, b vass.State) bool {
 	if x.Node != y.Node || x.Closed != y.Closed {
 		return false
 	}
-	switch p.order {
-	case OrderLeq:
+	if p.order == OrderLeq {
 		return x.PSI.Leq(y.PSI)
-	case OrderPrecedes:
-		return x.PSI.Precedes(y.PSI)
-	default: // OrderPrecedesStrict
-		if x.PSI.Equal(y.PSI) {
-			return true
-		}
-		ok, slack := x.PSI.PrecedesWithSlack(y.PSI)
-		if !ok {
-			return false
-		}
-		for _, rel := range slack {
-			for _, s := range rel {
-				if s {
-					return true
-				}
-			}
-		}
-		// ⪯ holds but saturated everywhere: ⪯+ requires slack.
-		return false
 	}
+	return x.PSI.Precedes(y.PSI)
 }
 
 // Accelerate implements vass.System: the accel operator of Section 3.3

@@ -113,7 +113,7 @@ func (r *Registry) BuildAll(names []string, b Budget) ([]Engine, error) {
 // RegisterVerifas registers the VERIFAS core engine and its ablation
 // variants under their EngineName spellings ("verifas",
 // "verifas-noset", "verifas-nosp", "verifas-nosa", "verifas-nodss",
-// "verifas-norr", "verifas-aggrr").
+// "verifas-norr").
 func RegisterVerifas(r *Registry) {
 	variants := []Options{
 		{},
@@ -122,7 +122,6 @@ func RegisterVerifas(r *Registry) {
 		{NoStaticAnalysis: true},
 		{NoIndexes: true},
 		{SkipRepeatedReachability: true},
-		{AggressiveRR: true},
 	}
 	for _, opts := range variants {
 		opts := opts

@@ -54,18 +54,6 @@ type Options struct {
 	// SkipRepeatedReachability turns off the infinite-run module
 	// (Section 3.8); only finite-run violations are then detected.
 	SkipRepeatedReachability bool
-	// AggressiveRR opts into the Appendix C ⪯+ second search for
-	// repeated reachability instead of the default classical
-	// coverability-set cycle detection (≤-pruned with acceleration).
-	// The ⪯+ construction is faster but can miss violations whose
-	// cycles are pruned against ω states (the paper's own completeness
-	// argument for it is informal); findings ARE re-confirmed classically
-	// unless NoRRConfirmation is set, but a "holds" verdict from it is
-	// not re-checked. Off by default.
-	AggressiveRR bool
-	// NoRRConfirmation skips re-confirming an infinite violation found by
-	// the aggressive ⪯+ phase with the classical method.
-	NoRRConfirmation bool
 	// NoInterning disables the hash-consing of pisotypes into a shared
 	// intern table. Interning is semantically transparent (structural
 	// equality is unchanged; equal types just share one allocation), so
@@ -108,11 +96,11 @@ type Stats struct {
 	// violation detection. The spin-like baseline reports its whole
 	// nested DFS here.
 	Reachability PhaseStats `json:"reachability"`
-	// RR is the repeated-reachability phase (classical, or the opt-in
-	// Appendix C aggressive search).
+	// RR is the repeated-reachability phase: the classical coverability
+	// search whose graph is checked for accepting cycles.
 	RR PhaseStats `json:"rr"`
-	// Confirm is the classical re-confirmation of an aggressive-RR
-	// finding (zero unless Options.AggressiveRR fired it).
+	// Confirm is never set; removed at the next benchmark change. The
+	// JSON tag stays so stored results still decode.
 	Confirm  PhaseStats    `json:"confirm"`
 	Elapsed  time.Duration `json:"elapsed_ns"`
 	TimedOut bool          `json:"timed_out"`
@@ -124,27 +112,26 @@ type Stats struct {
 
 // StatesExplored aggregates the states created across all search phases.
 func (s Stats) StatesExplored() int {
-	return s.Reachability.States + s.RR.States + s.Confirm.States
+	return s.Reachability.States + s.RR.States
 }
 
 // Pruned aggregates the nodes deactivated by pruning across all phases.
 func (s Stats) Pruned() int {
-	return s.Reachability.Pruned + s.RR.Pruned + s.Confirm.Pruned
+	return s.Reachability.Pruned + s.RR.Pruned
 }
 
 // Skipped aggregates the dominated/duplicate states across all phases.
 func (s Stats) Skipped() int {
-	return s.Reachability.Skipped + s.RR.Skipped + s.Confirm.Skipped
+	return s.Reachability.Skipped + s.RR.Skipped
 }
 
 // Accelerations aggregates the ω-acceleration count across all phases.
 func (s Stats) Accelerations() int {
-	return s.Reachability.Accelerations + s.RR.Accelerations + s.Confirm.Accelerations
+	return s.Reachability.Accelerations + s.RR.Accelerations
 }
 
-// RRStates is the state count of the repeated-reachability module
-// (including any confirmation search).
-func (s Stats) RRStates() int { return s.RR.States + s.Confirm.States }
+// RRStates is the state count of the repeated-reachability module.
+func (s Stats) RRStates() int { return s.RR.States }
 
 // Result is the outcome of a verification.
 type Result struct {
@@ -261,7 +248,6 @@ func Verify(ctx context.Context, sys *has.System, prop *Property, opts Options) 
 
 	var finViolation *vass.Node
 	var pumpAncestor *vass.Node
-	var pumpState *PState
 	anyAccepting := false
 
 	reachStart := time.Now()
@@ -287,18 +273,16 @@ func Verify(ctx context.Context, sys *has.System, prop *Property, opts Options) 
 			}
 			return false
 		},
-		OnAccelerate: func(anc *vass.Node, accelerated vass.State) bool {
+		OnAccelerate: func(anc *vass.Node, _ vass.State) bool {
 			// The tree path from the ancestor to the current node is a
 			// pumpable cycle: every Büchi node on it recurs infinitely
 			// often. If any is accepting, the property is violated
-			// (Appendix C: ω states are inherently repeatedly
-			// reachable).
+			// (ω states are inherently repeatedly reachable).
 			if opts.SkipRepeatedReachability {
 				return false
 			}
 			if prod.Accepting(anc.S.(*PState)) {
 				pumpAncestor = anc
-				pumpState = accelerated.(*PState)
 				return true
 			}
 			return false
@@ -322,17 +306,14 @@ func Verify(ctx context.Context, sys *has.System, prop *Property, opts Options) 
 		return finish(VerdictViolated)
 	}
 	if pumpAncestor != nil {
-		_ = pumpState
-		prefix := tracePath(ts, pumpAncestor)
-		res.Violation = &Violation{Kind: "pumping", Prefix: prefix}
+		res.Violation = &Violation{Kind: "pumping", Prefix: tracePath(ts, pumpAncestor)}
 		return finish(VerdictViolated)
 	}
 
 	// ---- Phase 2: repeated reachability for infinite-run violations.
 	if !opts.SkipRepeatedReachability && anyAccepting {
-		v, rrStats, confirmStats, stop, err := repeatedReachability(ctx, ts, buchi, tree, opts, maxStates, em)
+		v, rrStats, stop, err := repeatedReachability(ctx, ts, buchi, opts, maxStates, em)
 		res.Stats.RR = rrStats
-		res.Stats.Confirm = confirmStats
 		if err != nil {
 			return nil, err
 		}

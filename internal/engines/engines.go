@@ -22,7 +22,7 @@ var DefaultPortfolio = []string{"verifas", "spinlike"}
 // Default returns a fresh registry holding every built-in engine
 // configuration: the VERIFAS core and its ablation variants
 // ("verifas", "verifas-noset", "verifas-nosp", "verifas-nosa",
-// "verifas-nodss", "verifas-norr", "verifas-aggrr") plus the bounded
+// "verifas-nodss", "verifas-norr") plus the bounded
 // baseline ("spinlike", "spinlike-bitstate"). The registry is mutable;
 // callers may add their own registrations on top.
 func Default() *core.Registry {

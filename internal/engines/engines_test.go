@@ -20,7 +20,7 @@ func TestDefaultRegistryContents(t *testing.T) {
 	}
 	for _, want := range []string{
 		"verifas", "verifas-noset", "verifas-nosp", "verifas-nosa",
-		"verifas-nodss", "verifas-norr", "verifas-aggrr",
+		"verifas-nodss", "verifas-norr",
 		"spinlike", "spinlike-bitstate",
 	} {
 		if !names[want] {

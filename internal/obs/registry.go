@@ -73,7 +73,6 @@ var phaseOrder = [...]core.Phase{
 	core.PhaseStatic,
 	core.PhaseReach,
 	core.PhaseRR,
-	core.PhaseRRConfirm,
 }
 
 const numPhases = len(phaseOrder)

@@ -138,9 +138,9 @@ func TestBadRequestBodies(t *testing.T) {
 	}
 }
 
-// TestRemovedOptionsRejected: there are no "workers" or "relaxed" job
-// options, so the strict decoder answers a body naming either with a
-// 400 bad-request that names the field.
+// TestRemovedOptionsRejected: there are no "workers", "relaxed" or
+// "agg_rr" job options, so the strict decoder answers a body naming any
+// of them with a 400 bad-request that names the field.
 func TestRemovedOptionsRejected(t *testing.T) {
 	svc := service.NewServer(service.Config{Workers: 1})
 	ts := httptest.NewServer(svc.Handler())
@@ -148,7 +148,7 @@ func TestRemovedOptionsRejected(t *testing.T) {
 		ts.Close()
 		_ = svc.Shutdown(context.Background())
 	})
-	for _, opt := range []string{`"workers": 2`, `"relaxed": true`} {
+	for _, opt := range []string{`"workers": 2`, `"relaxed": true`, `"agg_rr": true`} {
 		body := `{"workflow": "OrderFulfillment", "property_src": "", "options": {` + opt + `}}`
 		resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json", bytes.NewBufferString(body))
 		if err != nil {

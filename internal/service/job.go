@@ -57,13 +57,13 @@ type RequestOptions struct {
 	// preconfigured registry variants. A single-element list degenerates
 	// to that engine alone.
 	Engines []string `json:"engines,omitempty"`
-	// The VERIFAS optimization switches (see core.Options).
+	// The VERIFAS optimization switches (see core.Options). Valid only
+	// with engine "verifas" (the default); other engines reject them.
 	NoStatePruning           bool `json:"no_sp,omitempty"`
 	NoStaticAnalysis         bool `json:"no_sa,omitempty"`
 	NoIndexes                bool `json:"no_dss,omitempty"`
 	IgnoreSets               bool `json:"no_set,omitempty"`
 	SkipRepeatedReachability bool `json:"no_rr,omitempty"`
-	AggressiveRR             bool `json:"agg_rr,omitempty"`
 	// TimeoutMS bounds the verification wall clock in milliseconds
 	// (0 = server default). Must be non-negative.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
@@ -80,7 +80,7 @@ type RequestOptions struct {
 	// events (0 = core.DefaultProgressStride).
 	ProgressStride int `json:"progress_stride,omitempty"`
 	// SpinFresh is the spinlike engine's fresh-values-per-sort bound k
-	// (0 = 2, the benchmark default). Ignored by the verifas engine.
+	// (0 = 2, the benchmark default). Valid only with engine "spinlike".
 	SpinFresh int `json:"spin_fresh,omitempty"`
 }
 
@@ -103,7 +103,6 @@ type EngineOptions struct {
 	NoIndexes                bool     `json:"no_dss"`
 	IgnoreSets               bool     `json:"no_set"`
 	SkipRepeatedReachability bool     `json:"no_rr"`
-	AggressiveRR             bool     `json:"agg_rr"`
 	TimeoutMS                int64    `json:"timeout_ms"`
 	MaxStates                int      `json:"max_states"`
 	MemBudget                int64    `json:"mem_budget"`
@@ -374,6 +373,11 @@ func resolveRequest(req *SubmitRequest, d KeyDefaults) (*resolved, *apiError) {
 	}, nil
 }
 
+// ablated reports whether any VERIFAS ablation switch is set.
+func (o *RequestOptions) ablated() bool {
+	return o.NoStatePruning || o.NoStaticAnalysis || o.NoIndexes || o.IgnoreSets || o.SkipRepeatedReachability
+}
+
 // normalizeOptions applies the defaults and range-checks the request
 // options.
 func normalizeOptions(o *RequestOptions, d KeyDefaults) (EngineOptions, *apiError) {
@@ -389,10 +393,9 @@ func normalizeOptions(o *RequestOptions, d KeyDefaults) (EngineOptions, *apiErro
 		if o.Engine != "" {
 			return EngineOptions{}, badRequestf(codeBadOptions, "engine and engines are mutually exclusive")
 		}
-		if o.NoStatePruning || o.NoStaticAnalysis || o.NoIndexes || o.IgnoreSets ||
-			o.SkipRepeatedReachability || o.AggressiveRR || o.SpinFresh != 0 {
+		if o.ablated() || o.SpinFresh != 0 {
 			return EngineOptions{}, badRequestf(codeBadOptions,
-				"per-engine tuning knobs (no_sp/no_sa/no_dss/no_set/no_rr/agg_rr/spin_fresh) are not valid with engines; name preconfigured variants instead (e.g. \"verifas-noset\", \"spinlike-bitstate\")")
+				"per-engine tuning knobs (no_sp/no_sa/no_dss/no_set/no_rr/spin_fresh) are not valid with engines; name preconfigured variants instead (e.g. \"verifas-noset\", \"spinlike-bitstate\")")
 		}
 		seen := make(map[string]bool, len(o.Engines))
 		for _, name := range o.Engines {
@@ -404,6 +407,21 @@ func normalizeOptions(o *RequestOptions, d KeyDefaults) (EngineOptions, *apiErro
 			}
 			seen[name] = true
 		}
+	} else {
+		// A knob the selected engine ignores would still enter the cache
+		// key, so reject it rather than drop it silently.
+		engine := o.Engine
+		if engine == "" {
+			engine = EngineVerifas
+		}
+		if engine != EngineVerifas && o.ablated() {
+			return EngineOptions{}, badRequestf(codeBadOptions,
+				"ablation switches (no_sp/no_sa/no_dss/no_set/no_rr) apply only to engine %q, not %q; name a preconfigured variant instead (e.g. \"verifas-noset\")", EngineVerifas, engine)
+		}
+		if engine != EngineSpinlike && o.SpinFresh != 0 {
+			return EngineOptions{}, badRequestf(codeBadOptions,
+				"spin_fresh applies only to engine %q, not %q", EngineSpinlike, engine)
+		}
 	}
 	e := EngineOptions{
 		Engine:                   o.Engine,
@@ -412,7 +430,6 @@ func normalizeOptions(o *RequestOptions, d KeyDefaults) (EngineOptions, *apiErro
 		NoIndexes:                o.NoIndexes,
 		IgnoreSets:               o.IgnoreSets,
 		SkipRepeatedReachability: o.SkipRepeatedReachability,
-		AggressiveRR:             o.AggressiveRR,
 		TimeoutMS:                o.TimeoutMS,
 		MaxStates:                o.MaxStates,
 		MemBudget:                o.MemBudget,

@@ -258,7 +258,6 @@ func BuiltinEngine(o EngineOptions, observer core.Observer) (core.Engine, error)
 			NoIndexes:                o.NoIndexes,
 			IgnoreSets:               o.IgnoreSets,
 			SkipRepeatedReachability: o.SkipRepeatedReachability,
-			AggressiveRR:             o.AggressiveRR,
 		}), nil
 	case EngineSpinlike:
 		return spinlike.Engine(spinlike.Options{

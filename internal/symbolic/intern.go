@@ -19,23 +19,10 @@ import "sync"
 // of a few large allocations, shrinking both per-slice overhead and GC
 // scan work.
 //
-// The table is sharded by type hash: each shard has its own lock, hash
-// buckets and edge arena. A verification interns from one goroutine, so
-// the locks are uncontended; they keep every method safe for concurrent
+// One mutex guards the table. A verification interns from one goroutine,
+// so the lock is uncontended; it keeps every method safe for concurrent
 // use.
 type Interner struct {
-	shards [internShards]internShard
-}
-
-// internShards is the number of independently locked shard tables. 64
-// keeps the per-shard structures tiny.
-const internShards = 64
-
-// internShard is one lock's worth of the table: its own buckets, its own
-// edge arena, its own counters. A type's shard is derived from the same
-// canonical hash that keys the buckets, so all structurally equal types
-// land in one shard and the dedup check stays shard-local.
-type internShard struct {
 	mu     sync.Mutex
 	byHash map[uint64][]*Pisotype
 
@@ -48,23 +35,12 @@ type internShard struct {
 	bytes  int64
 }
 
-// internBlockWords sizes the per-shard edge-arena blocks (8 KiB each).
+// internBlockWords sizes the edge-arena blocks (8 KiB each).
 const internBlockWords = 1024
 
 // NewInterner returns an empty intern table.
 func NewInterner() *Interner {
-	in := &Interner{}
-	for i := range in.shards {
-		in.shards[i].byHash = make(map[uint64][]*Pisotype)
-	}
-	return in
-}
-
-// shardOf picks the shard for a type hash. The low bits feed the
-// bucket map (which rehashes anyway), so shard selection uses the high
-// bits to stay independent of bucket distribution.
-func (in *Interner) shardOf(h uint64) *internShard {
-	return &in.shards[(h>>57)&(internShards-1)]
+	return &Interner{byHash: make(map[uint64][]*Pisotype)}
 }
 
 // Intern returns the canonical representative of t: the previously
@@ -75,32 +51,31 @@ func (in *Interner) Intern(t *Pisotype) *Pisotype {
 	if in == nil || t == nil {
 		return t
 	}
-	// Seal the lazy canon/hash caches before taking the shard lock (and
-	// before the type can be shared with other goroutines).
+	// Seal the lazy canon/hash caches before taking the lock (and before
+	// the type can be shared with other goroutines).
 	edges := t.Edges()
 	h := t.hash
-	sh := in.shardOf(h)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for _, c := range sh.byHash[h] {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	for _, c := range in.byHash[h] {
 		if c.Equal(t) {
-			sh.hits++
+			in.hits++
 			return c
 		}
 	}
 	// First of its class: adopt t, re-homing its edge slice into the
-	// shard's arena so the many small canon arrays share big blocks.
-	t.canon = sh.arenaCopy(edges)
-	sh.byHash[h] = append(sh.byHash[h], t)
-	sh.misses++
-	sh.bytes += int64(t.SizeBytes())
+	// arena so the many small canon arrays share big blocks.
+	t.canon = in.arenaCopy(edges)
+	in.byHash[h] = append(in.byHash[h], t)
+	in.misses++
+	in.bytes += int64(t.SizeBytes())
 	return t
 }
 
-// arenaCopy copies a sealed edge slice into the shard's current arena
-// block, starting a new block when it does not fit. Oversized slices keep
-// their own allocation. Caller holds sh.mu.
-func (sh *internShard) arenaCopy(edges []uint64) []uint64 {
+// arenaCopy copies a sealed edge slice into the current arena block,
+// starting a new block when it does not fit. Oversized slices keep their
+// own allocation. Caller holds in.mu.
+func (in *Interner) arenaCopy(edges []uint64) []uint64 {
 	n := len(edges)
 	if n == 0 {
 		return edges
@@ -108,14 +83,14 @@ func (sh *internShard) arenaCopy(edges []uint64) []uint64 {
 	if n > internBlockWords/2 {
 		return edges
 	}
-	if cap(sh.block)-len(sh.block) < n {
-		sh.block = make([]uint64, 0, internBlockWords)
+	if cap(in.block)-len(in.block) < n {
+		in.block = make([]uint64, 0, internBlockWords)
 	}
-	start := len(sh.block)
-	sh.block = append(sh.block, edges...)
+	start := len(in.block)
+	in.block = append(in.block, edges...)
 	// Full slice expression: appends by a later arenaCopy must never
 	// grow into this segment.
-	return sh.block[start : start+n : start+n]
+	return in.block[start : start+n : start+n]
 }
 
 // Stats reports the cumulative hit/miss counters: hits are Intern calls
@@ -125,14 +100,9 @@ func (in *Interner) Stats() (hits, misses int64) {
 	if in == nil {
 		return 0, 0
 	}
-	for i := range in.shards {
-		sh := &in.shards[i]
-		sh.mu.Lock()
-		hits += sh.hits
-		misses += sh.misses
-		sh.mu.Unlock()
-	}
-	return hits, misses
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return in.hits, in.misses
 }
 
 // Bytes estimates the retained size of the intern table: the sum of the
@@ -144,14 +114,9 @@ func (in *Interner) Bytes() int64 {
 	if in == nil {
 		return 0
 	}
-	var total int64
-	for i := range in.shards {
-		sh := &in.shards[i]
-		sh.mu.Lock()
-		total += sh.bytes
-		sh.mu.Unlock()
-	}
-	return total
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return in.bytes
 }
 
 // Len returns the number of distinct interned types.
@@ -159,14 +124,11 @@ func (in *Interner) Len() int {
 	if in == nil {
 		return 0
 	}
+	in.mu.Lock()
+	defer in.mu.Unlock()
 	n := 0
-	for i := range in.shards {
-		sh := &in.shards[i]
-		sh.mu.Lock()
-		for _, bucket := range sh.byHash {
-			n += len(bucket)
-		}
-		sh.mu.Unlock()
+	for _, bucket := range in.byHash {
+		n += len(bucket)
 	}
 	return n
 }

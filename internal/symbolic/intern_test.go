@@ -187,7 +187,7 @@ func TestInternerArenaAliasing(t *testing.T) {
 // internBenchShapes enumerates small constraint shapes over the bench
 // universe's same-typed root pairs: one AddEq shape and one AddEq+AddNeq
 // shape per pair. The pool is deliberately small so concurrent interners
-// overlap heavily and contend on the same shard buckets.
+// overlap heavily and contend on the same hash buckets.
 func internBenchShapes(b *testing.B, u *Universe) [][][2]ExprID {
 	b.Helper()
 	var ids []ExprID

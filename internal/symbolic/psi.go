@@ -157,18 +157,6 @@ func (p *PSI) Equal(o *PSI) bool {
 	return true
 }
 
-// HasOmega reports whether any counter is ω.
-func (p *PSI) HasOmega() bool {
-	for _, b := range p.Bags {
-		for _, s := range b.Items {
-			if s.Count == Omega {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // Leq is the classic coverage order ≤: identical isomorphism type and
 // child mask, counters pointwise dominated (missing entries count 0).
 func (p *PSI) Leq(o *PSI) bool {
@@ -201,8 +189,7 @@ func (p *PSI) Precedes(o *PSI) bool {
 // PrecedesWithSlack additionally reports, for each relation r and each
 // entry i of o.Bags[r], whether some full flow leaves that entry's
 // capacity strictly slack (∑ f(·,τ'S) < c'(τ'S)). The slack report drives
-// both the ⪯-based accelerate operator (Section 3.5) and the ⪯+ relation
-// of Appendix C.
+// the ⪯-based accelerate operator (Section 3.5).
 func (p *PSI) PrecedesWithSlack(o *PSI) (bool, [][]bool) {
 	return p.precedes(o, true)
 }

@@ -234,9 +234,6 @@ func TestPrecedesOmega(t *testing.T) {
 	if !om.Precedes(om) {
 		t.Error("ω ⪯ ω expected")
 	}
-	if !om.HasOmega() || fin.HasOmega() {
-		t.Error("HasOmega wrong")
-	}
 }
 
 func TestPSIKeyEqual(t *testing.T) {

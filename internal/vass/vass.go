@@ -159,10 +159,6 @@ type Options struct {
 	// ProgressStride is the node-creation stride between OnProgress
 	// calls (<= 0 = DefaultProgressStride). Ignored without OnProgress.
 	ProgressStride int
-	// ExtraDominators are states treated as permanently active for the
-	// dominance check (the Appendix C second phase prunes against the
-	// first phase's ω states this way).
-	ExtraDominators []State
 }
 
 // Progress is a periodic snapshot of a running exploration's counters.
@@ -485,11 +481,6 @@ func (e *explorer) deactivateSubtree(m *Node) {
 // set) and to "indexed set of the dominator is a subset of s's" — a
 // necessary condition for s ≤ m under the System.IndexSet contract.
 func (e *explorer) dominatedByActive(s State, class uint64, set []uint64) bool {
-	for _, d := range e.opts.ExtraDominators {
-		if e.sys.Leq(s, d) {
-			return true
-		}
-	}
 	if e.idx != nil {
 		return e.idx.anySubset(class, set, func(id int) bool {
 			m := e.tree.Nodes[id]
