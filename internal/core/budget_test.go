@@ -94,29 +94,3 @@ func TestMemBudgetGenerousPasses(t *testing.T) {
 		t.Error("MemBytes not reported on the success path")
 	}
 }
-
-// TestInterningVerdictNeutral spot-checks that disabling the intern table
-// changes neither verdict nor explored-state counts (the differential
-// suites cover this broadly; this is the targeted fast check).
-func TestInterningVerdictNeutral(t *testing.T) {
-	sys := workflows.OrderFulfillment(false)
-	props := []*Property{
-		budgetProp(),
-		{
-			Name:    "eventually-ships",
-			Task:    "ProcessOrders",
-			Formula: ltl.MustParse(`F open(ShipItem)`),
-		},
-	}
-	for _, prop := range props {
-		on := mustVerify(t, sys, prop, Options{})
-		off := mustVerify(t, sys, prop, Options{NoInterning: true})
-		if on.Verdict != off.Verdict {
-			t.Errorf("%s: interning changed the verdict: %v vs %v", prop.Name, on.Verdict, off.Verdict)
-		}
-		if on.Stats.StatesExplored() != off.Stats.StatesExplored() {
-			t.Errorf("%s: interning changed explored states: %d vs %d",
-				prop.Name, on.Stats.StatesExplored(), off.Stats.StatesExplored())
-		}
-	}
-}

@@ -116,7 +116,7 @@ func (p *product) admitsService(n int32, ref symbolic.ServiceRef) bool {
 }
 
 // condVariants folds the condition literals of Büchi state n over tau,
-// returning every consistent extension (each a fresh type).
+// returning every consistent extension, interned.
 func (p *product) condVariants(n int32, tau *symbolic.Pisotype) []*symbolic.Pisotype {
 	cur := []*symbolic.Pisotype{tau}
 	for _, cc := range p.info[n].conds {
@@ -125,12 +125,11 @@ func (p *product) condVariants(n int32, tau *symbolic.Pisotype) []*symbolic.Piso
 		}
 		var next []*symbolic.Pisotype
 		for _, t := range cur {
-			// Extend returns fresh clones; intern them — these types are
-			// retained in product states, and distinct Büchi nodes reading
-			// the same snapshot produce many structurally equal ones.
-			for _, e := range cc.Extend(t) {
-				next = append(next, p.ts.InternType(e))
-			}
+			// Interned because these types are retained in product states,
+			// and distinct Büchi nodes reading the same snapshot produce
+			// many structurally equal ones; memoized because they also
+			// reread the same (condition, type) pairs.
+			next = append(next, p.ts.ExtendInterned(cc, t)...)
 		}
 		if len(next) == 0 {
 			return nil

@@ -661,9 +661,7 @@ func (ts *TaskSystem) Initial() []*PSI {
 	bags := make([]Bag, ts.numRelations)
 	var taus []*Pisotype
 	if ts.globalPre != nil {
-		for _, t := range ts.globalPre.Extend(tau) {
-			taus = append(taus, ts.InternType(t.Project(ts.keepState)))
-		}
+		taus = ts.extendToState(ts.globalPre, tau)
 	} else {
 		taus = []*Pisotype{ts.InternType(tau)}
 	}
@@ -736,8 +734,7 @@ func (ts *TaskSystem) Successors(p *PSI) []Succ {
 			ts.internalSuccs(p, &ts.services[i], emit)
 		}
 		if ts.closePre != nil {
-			for _, t0 := range ts.closePre.Extend(p.Tau) {
-				t1 := ts.InternType(t0.Project(ts.keepState))
+			for _, t1 := range ts.extendToState(ts.closePre, p.Tau) {
 				emit(Succ{
 					Ref:     ServiceRef{Kind: SvcCloseSelf, Name: ts.Task.Name},
 					Next:    NewPSI(t1, p.Bags, p.Mask),
@@ -749,17 +746,18 @@ func (ts *TaskSystem) Successors(p *PSI) []Succ {
 	for i := range ts.children {
 		c := &ts.children[i]
 		if p.Mask&c.bit == 0 {
-			for _, t0 := range c.openPre.Extend(p.Tau) {
-				t1 := ts.InternType(t0.Project(ts.keepState))
+			for _, t1 := range ts.extendToState(c.openPre, p.Tau) {
 				emit(Succ{
 					Ref:  ServiceRef{Kind: SvcOpenChild, Name: c.name, Index: i},
 					Next: NewPSI(t1, p.Bags, p.Mask|c.bit),
 				})
 			}
 		} else {
-			t1 := ts.InternType(p.Tau.Project(func(root ExprID) bool {
-				return ts.keepState(root) && !c.returnedRoots[root]
-			}))
+			t1 := ts.Opts.Interner.memoized(memoKey{op: memoCloseChild, fn: c, in: p.Tau}, func() []*Pisotype {
+				return []*Pisotype{ts.InternType(p.Tau.Project(func(root ExprID) bool {
+					return ts.keepState(root) && !c.returnedRoots[root]
+				}))}
+			})[0]
 			emit(Succ{
 				Ref:  ServiceRef{Kind: SvcCloseChild, Name: c.name, Index: i},
 				Next: NewPSI(t1, p.Bags, p.Mask&^c.bit),
@@ -781,7 +779,48 @@ func (ts *TaskSystem) Successors(p *PSI) []Succ {
 }
 
 func (ts *TaskSystem) internalSuccs(p *PSI, cs *compiledService, emit func(Succ)) {
-	for _, t0 := range cs.pre.Extend(p.Tau) {
+	pairs := ts.Opts.Interner.memoized(memoKey{op: memoService, fn: cs, in: p.Tau}, func() []*Pisotype {
+		return ts.serviceTypes(cs, p.Tau)
+	})
+	for i := 0; i < len(pairs); i += 2 {
+		inserted, t3 := pairs[i], pairs[i+1]
+		switch cs.upd {
+		case updNone:
+			emit(Succ{Ref: cs.ref, Next: NewPSI(t3, p.Bags, p.Mask)})
+		case updInsert:
+			bags := append([]Bag(nil), p.Bags...)
+			bags[cs.relIdx] = bags[cs.relIdx].WithDelta(inserted, 1)
+			emit(Succ{Ref: cs.ref, Next: NewPSI(t3, bags, p.Mask)})
+		case updRetrieve:
+			for _, st := range p.Bags[cs.relIdx].Items {
+				if st.Count <= 0 {
+					continue
+				}
+				merged := ts.Opts.Interner.memoized(memoKey{op: memoRetrieve, fn: cs, in: t3, aux: st.Type}, func() []*Pisotype {
+					t4 := t3.Clone()
+					if !t4.MergeTransported(st.Type, cs.retrievePairs) {
+						return nil
+					}
+					return []*Pisotype{ts.InternType(t4)}
+				})
+				if len(merged) == 0 {
+					continue
+				}
+				bags := append([]Bag(nil), p.Bags...)
+				bags[cs.relIdx] = bags[cs.relIdx].WithDelta(st.Type, -1)
+				emit(Succ{Ref: cs.ref, Next: NewPSI(merged[0], bags, p.Mask)})
+			}
+		}
+	}
+}
+
+// serviceTypes computes the type part of an internal service's
+// transitions from tau, as (inserted-tuple type, next type) pairs
+// flattened in emission order; the inserted type is nil unless the
+// service inserts.
+func (ts *TaskSystem) serviceTypes(cs *compiledService, tau *Pisotype) []*Pisotype {
+	var out []*Pisotype
+	for _, t0 := range cs.pre.Extend(tau) {
 		var inserted *Pisotype
 		if cs.upd == updInsert {
 			inserted = t0.TransportProject(cs.insertPairs)
@@ -798,31 +837,34 @@ func (ts *TaskSystem) internalSuccs(p *PSI, cs *compiledService, emit func(Succ)
 			return cs.propRoots[root]
 		})
 		for _, t2 := range cs.post.Extend(t1) {
-			t3 := ts.InternType(t2.Project(ts.keepState))
-			switch cs.upd {
-			case updNone:
-				emit(Succ{Ref: cs.ref, Next: NewPSI(t3, p.Bags, p.Mask)})
-			case updInsert:
-				bags := append([]Bag(nil), p.Bags...)
-				bags[cs.relIdx] = bags[cs.relIdx].WithDelta(inserted, 1)
-				emit(Succ{Ref: cs.ref, Next: NewPSI(t3, bags, p.Mask)})
-			case updRetrieve:
-				for _, st := range p.Bags[cs.relIdx].Items {
-					if st.Count <= 0 {
-						continue
-					}
-					t4 := t3.Clone()
-					if !t4.MergeTransported(st.Type, cs.retrievePairs) {
-						continue
-					}
-					t4 = ts.InternType(t4)
-					bags := append([]Bag(nil), p.Bags...)
-					bags[cs.relIdx] = bags[cs.relIdx].WithDelta(st.Type, -1)
-					emit(Succ{Ref: cs.ref, Next: NewPSI(t4, bags, p.Mask)})
-				}
-			}
+			out = append(out, inserted, ts.InternType(t2.Project(ts.keepState)))
 		}
 	}
+	return out
+}
+
+// extendToState returns the extensions of tau by the condition, projected
+// onto the state roots and interned (memoized).
+func (ts *TaskSystem) extendToState(cc *CompiledCond, tau *Pisotype) []*Pisotype {
+	return ts.Opts.Interner.memoized(memoKey{op: memoExtendToState, fn: cc, in: tau}, func() []*Pisotype {
+		var out []*Pisotype
+		for _, t0 := range cc.Extend(tau) {
+			out = append(out, ts.InternType(t0.Project(ts.keepState)))
+		}
+		return out
+	})
+}
+
+// ExtendInterned returns the extensions of tau by the condition, each
+// interned (memoized). The result is shared and must not be mutated.
+func (ts *TaskSystem) ExtendInterned(cc *CompiledCond, tau *Pisotype) []*Pisotype {
+	return ts.Opts.Interner.memoized(memoKey{op: memoExtend, fn: cc, in: tau}, func() []*Pisotype {
+		out := cc.Extend(tau)
+		for i, t := range out {
+			out[i] = ts.InternType(t)
+		}
+		return out
+	})
 }
 
 // NumChildren returns the task's child count.

@@ -3,6 +3,8 @@ package symbolic
 import (
 	"sync"
 	"testing"
+
+	"verifas/internal/workflows"
 )
 
 // distinctEqualTypes builds n structurally equal but physically distinct
@@ -238,5 +240,165 @@ func BenchmarkInternerIntern(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		in.Intern(internShape(u, shapes[i%len(shapes)]))
+	}
+}
+
+// memoSystems compiles two tasks of the paper's running example with an
+// interner attached: ProcessOrders inserts into and retrieves from its
+// artifact relation and opens and closes children; TakeOrder closes
+// itself.
+func memoSystems(t *testing.T, interner bool) []*TaskSystem {
+	t.Helper()
+	sys := workflows.OrderFulfillment(false)
+	if err := sys.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	var out []*TaskSystem
+	for _, name := range []string{"ProcessOrders", "TakeOrder"} {
+		task, ok := sys.Task(name)
+		if !ok {
+			t.Fatalf("no task %s", name)
+		}
+		ts, err := CompileTask(sys, task, PropertyBinding{}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if interner {
+			ts.SetInterner(NewInterner())
+		}
+		out = append(out, ts)
+	}
+	return out
+}
+
+// succPool collects up to limit distinct PSIs reachable from the initial
+// states, breadth first.
+func succPool(ts *TaskSystem, limit int) []*PSI {
+	var pool []*PSI
+	seen := map[uint64][]*PSI{}
+	add := func(p *PSI) {
+		for _, q := range seen[p.Key()] {
+			if q.Equal(p) {
+				return
+			}
+		}
+		seen[p.Key()] = append(seen[p.Key()], p)
+		pool = append(pool, p)
+	}
+	for _, p := range ts.Initial() {
+		add(p)
+	}
+	for i := 0; i < len(pool) && len(pool) < limit; i++ {
+		for _, s := range ts.Successors(pool[i]) {
+			add(s.Next)
+		}
+	}
+	if len(pool) > limit {
+		pool = pool[:limit]
+	}
+	return pool
+}
+
+func sameSuccs(t *testing.T, what string, a, b []Succ) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("%s: %d successors, want %d", what, len(b), len(a))
+	}
+	for i := range a {
+		if a[i].Ref != b[i].Ref || a[i].Closing != b[i].Closing || a[i].Next.Mask != b[i].Next.Mask ||
+			!a[i].Next.Tau.Equal(b[i].Next.Tau) || !a[i].Next.Equal(b[i].Next) {
+			t.Fatalf("%s: successor %d differs: %v %v vs %v %v", what, i, a[i].Ref, a[i].Next, b[i].Ref, b[i].Next)
+		}
+	}
+}
+
+// TestSuccessorMemoTransparent checks that the successor-type memo is
+// invisible: Successors gives the same transitions on a cold memo, on a
+// warm memo and without an interner, cold and warm types are the same
+// pointers, and a warm pass interns nothing new.
+func TestSuccessorMemoTransparent(t *testing.T) {
+	plain := memoSystems(t, false)
+	kinds := map[ServiceKind]bool{}
+	names := map[string]bool{}
+	for k, ts := range memoSystems(t, true) {
+		in := ts.Interner()
+		pool := succPool(ts, 300)
+		cold := make([][]Succ, len(pool))
+		for i, p := range pool {
+			clear(in.memo)
+			cold[i] = ts.Successors(p)
+			for _, s := range cold[i] {
+				kinds[s.Ref.Kind] = true
+				names[s.Ref.Name] = true
+			}
+		}
+		for _, p := range pool {
+			ts.Successors(p) // fill the memo
+		}
+		n, bytes := in.Len(), in.Bytes()
+		for i, p := range pool {
+			warm := ts.Successors(p)
+			sameSuccs(t, "warm", cold[i], warm)
+			for j := range warm {
+				a, b := cold[i][j].Next, warm[j].Next
+				if a.Tau != b.Tau {
+					t.Fatalf("state %d successor %d: warm type is not the cold pointer", i, j)
+				}
+				for r := range a.Bags {
+					for x := range a.Bags[r].Items {
+						if a.Bags[r].Items[x].Type != b.Bags[r].Items[x].Type {
+							t.Fatalf("state %d successor %d: warm bag type is not the cold pointer", i, j)
+						}
+					}
+				}
+			}
+			sameSuccs(t, "no interner", cold[i], plain[k].Successors(p))
+		}
+		if in.Len() != n || in.Bytes() != bytes {
+			t.Errorf("%s: warm pass changed the intern table: %d types / %d B, was %d / %d",
+				ts.Task.Name, in.Len(), in.Bytes(), n, bytes)
+		}
+	}
+	for _, k := range []ServiceKind{SvcInternal, SvcCloseSelf, SvcOpenChild, SvcCloseChild} {
+		if !kinds[k] {
+			t.Errorf("pool never takes a transition of kind %d", k)
+		}
+	}
+	for _, name := range []string{"StoreOrder", "RetrieveOrder"} {
+		if !names[name] {
+			t.Errorf("pool never calls %s", name)
+		}
+	}
+}
+
+// TestSuccessorMemoConcurrent runs Successors on one task system from
+// several goroutines at once: the memo must stay race-free and every
+// goroutine must see the same interned successor types.
+func TestSuccessorMemoConcurrent(t *testing.T) {
+	ts := memoSystems(t, true)[0]
+	pool := succPool(ts, 200)
+	clear(ts.Interner().memo)
+	const goroutines = 4
+	results := make([][][]Succ, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for _, p := range pool {
+				results[g] = append(results[g], ts.Successors(p))
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g := 1; g < goroutines; g++ {
+		for i := range pool {
+			sameSuccs(t, "concurrent", results[0][i], results[g][i])
+			for j := range results[0][i] {
+				if results[0][i][j].Next.Tau != results[g][i][j].Next.Tau {
+					t.Fatalf("goroutine %d state %d successor %d: different interned type", g, i, j)
+				}
+			}
+		}
 	}
 }

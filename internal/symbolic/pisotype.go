@@ -1,6 +1,7 @@
 package symbolic
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -52,6 +53,10 @@ type Pisotype struct {
 
 	canon []uint64 // cached canonical closed edge set
 	hash  uint64
+	// owner is the interner whose representative this type is (nil for
+	// a type not interned). Only a representative may key the memo: its
+	// pointer stands for its content, and it is never mutated.
+	owner *Interner
 }
 
 // NewPisotype returns the unconstrained type over the universe.
@@ -394,7 +399,7 @@ func (t *Pisotype) constrainedClasses() []ExprID {
 	for rep := range set {
 		out = append(out, rep)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -422,7 +427,7 @@ func (t *Pisotype) Edges() []uint64 {
 	var out []uint64
 	for _, ms := range t.members {
 		sorted := append([]ExprID(nil), ms...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+		slices.Sort(sorted)
 		for i := 0; i < len(sorted); i++ {
 			for j := i + 1; j < len(sorted); j++ {
 				out = append(out, encodeEdge(sorted[i], sorted[j], false))
@@ -447,7 +452,7 @@ func (t *Pisotype) Edges() []uint64 {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	if out == nil {
 		// A constraint-free type still needs a non-nil cache: the nil
 		// sentinel would make every Edges call recompute and re-write

@@ -9,8 +9,9 @@ import (
 // benchStates compiles the paper's running example and collects a pool
 // of representative PSIs by breadth-first expansion from the initial
 // state, so the benchmark exercises Successors on states with populated
-// constraints and bags rather than only the trivial initial PSI.
-func benchStates(b *testing.B) (*TaskSystem, []*PSI) {
+// constraints and bags rather than only the trivial initial PSI. With
+// interner set the system interns its types and memoizes successor types.
+func benchStates(b *testing.B, interner bool) (*TaskSystem, []*PSI) {
 	b.Helper()
 	sys := workflows.OrderFulfillment(false)
 	if err := sys.Validate(); err != nil {
@@ -19,6 +20,9 @@ func benchStates(b *testing.B) (*TaskSystem, []*PSI) {
 	ts, err := CompileTask(sys, sys.Root, PropertyBinding{}, Options{})
 	if err != nil {
 		b.Fatal(err)
+	}
+	if interner {
+		ts.SetInterner(NewInterner())
 	}
 	states := ts.Initial()
 	frontier := states
@@ -39,21 +43,33 @@ func benchStates(b *testing.B) (*TaskSystem, []*PSI) {
 }
 
 // BenchmarkTaskSystemSuccessors measures the succ(I) hot path (run with
-// -benchmem: the pooled dedup scratch should keep allocs/op flat at the
-// output-copy cost).
+// -benchmem). "plain" has no interner, so every call computes its
+// successor types; "interned" runs on a warm successor-type memo, the
+// steady state of a verification, where a call only builds the PSIs.
 func BenchmarkTaskSystemSuccessors(b *testing.B) {
-	ts, states := benchStates(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ts.Successors(states[i%len(states)])
+	for _, interned := range []bool{false, true} {
+		name := "plain"
+		if interned {
+			name = "interned"
+		}
+		b.Run(name, func(b *testing.B) {
+			ts, states := benchStates(b, interned)
+			for _, p := range states {
+				ts.Successors(p)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ts.Successors(states[i%len(states)])
+			}
+		})
 	}
 }
 
 // BenchmarkPSIEdgeSet measures the index edge-set computation; with
 // memoization the repeated calls after the first are pointer returns.
 func BenchmarkPSIEdgeSet(b *testing.B) {
-	_, states := benchStates(b)
+	_, states := benchStates(b, false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
