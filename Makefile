@@ -21,12 +21,9 @@ race:
 
 # Fleet soak under the race detector: 3 replicas behind the router,
 # 1000 jobs over 50 keys with a mid-run replica kill+restart, asserting
-# zero lost jobs and zero post-warm-up engine runs, then writing the
-# machine-readable record to BENCH_fleet.json (seeded: ~10s).
+# zero lost jobs and zero post-warm-up engine runs (seeded: ~10s).
 fleet-soak:
 	$(GO) test -race -run 'TestFleetSoak' -v -count=1 ./internal/fleet/
-	BENCH_FLEET_JSON=$(CURDIR)/BENCH_fleet.json $(GO) test -race -run TestWriteFleetBenchJSON -v -count=1 ./internal/fleet/
-	@echo "wrote BENCH_fleet.json"
 
 # Run the verification daemon locally with the debug endpoint attached.
 SERVE_ADDR ?= localhost:8080

@@ -5,9 +5,9 @@
 // coalesce locally) and distinct keys spread evenly. Id-addressed
 // requests (status, result, events, cancel) route to the replica that
 // issued the id. When a replica stops answering /readyz — drain, crash,
-// saturation — its keys fail over to the ring successor, where the
-// shared result store and the cross-replica lease protocol keep "each
-// key runs an engine once" true fleet-wide.
+// saturation — its keys fail over to the ring successor, which answers
+// every already-verified key from the shared result store. Only a key
+// in flight at the failover may run twice.
 //
 // Usage:
 //

@@ -86,6 +86,13 @@ func run() int {
 		return 2
 	}
 	engineList := portfolioNames(*engineCSV, *portfolio)
+	ablation := core.Options{
+		IgnoreSets:               *noSet,
+		NoStatePruning:           *noSP,
+		NoStaticAnalysis:         *noSA,
+		NoIndexes:                *noDSS,
+		SkipRepeatedReachability: *noRR,
+	}
 	budget := core.Budget{Timeout: *timeout, MaxStates: *maxStates, MaxMemBytes: memBytes}
 	var contenders []core.Engine
 	if len(engineList) > 0 && *server == "" {
@@ -197,16 +204,10 @@ func run() int {
 				return sb.String(), 1
 			}
 		default:
-			b := budget
-			b.Observer = observerFor(prop)
-			res, err := core.Verify(ctx, file.System, prop, core.Options{
-				Budget:                   b,
-				IgnoreSets:               *noSet,
-				NoStatePruning:           *noSP,
-				NoStaticAnalysis:         *noSA,
-				NoIndexes:                *noDSS,
-				SkipRepeatedReachability: *noRR,
-			})
+			opts := ablation
+			opts.Budget = budget
+			opts.Budget.Observer = observerFor(prop)
+			res, err := core.Verify(ctx, file.System, prop, opts)
 			if err != nil {
 				fmt.Fprintf(&sb, "%s: error: %v\n", prop.Name, err)
 				return sb.String(), 2
@@ -252,16 +253,17 @@ func run() int {
 
 	// With -server, the same report loop runs against a remote verifasd
 	// daemon through the service client instead of the in-process engines.
+	// The daemon selects an ablation by engine name ("verifas-nosp"); a
+	// flag combination it has not registered gets its unknown-engine 400.
 	verify := verifyProp
 	if *server != "" {
+		remoteEngine := *engine
+		if remoteEngine == "verifas" {
+			remoteEngine = core.EngineName(ablation)
+		}
 		verify = remoteVerifier(ctx, *server, string(src), file, remoteFlags{
-			engine:    *engine,
+			engine:    remoteEngine,
 			engines:   engineList,
-			noSet:     *noSet,
-			noSP:      *noSP,
-			noSA:      *noSA,
-			noDSS:     *noDSS,
-			noRR:      *noRR,
 			timeout:   *timeout,
 			maxStates: *maxStates,
 			memBudget: memBytes,
@@ -317,14 +319,13 @@ func run() int {
 // remoteFlags carries the CLI flags the remote mode maps onto request
 // options and report formatting.
 type remoteFlags struct {
-	engine                         string
-	engines                        []string
-	noSet, noSP, noSA, noDSS, noRR bool
-	timeout                        time.Duration
-	maxStates                      int
-	memBudget                      int64
-	showTrace, showStats, witness  bool
-	eventsF                        *os.File
+	engine                        string
+	engines                       []string
+	timeout                       time.Duration
+	maxStates                     int
+	memBudget                     int64
+	showTrace, showStats, witness bool
+	eventsF                       *os.File
 }
 
 // remoteVerifier builds the per-property report function of -server mode:
@@ -334,19 +335,13 @@ type remoteFlags struct {
 func remoteVerifier(ctx context.Context, addr, src string, file *spec.File, rf remoteFlags) func(*core.Property) (string, int) {
 	cl := client.New(addr)
 	ropts := &service.RequestOptions{
-		Engine:                   rf.engine,
-		IgnoreSets:               rf.noSet,
-		NoStatePruning:           rf.noSP,
-		NoStaticAnalysis:         rf.noSA,
-		NoIndexes:                rf.noDSS,
-		SkipRepeatedReachability: rf.noRR,
-		TimeoutMS:                rf.timeout.Milliseconds(),
-		MaxStates:                rf.maxStates,
-		MemBudget:                rf.memBudget,
+		Engine:    rf.engine,
+		TimeoutMS: rf.timeout.Milliseconds(),
+		MaxStates: rf.maxStates,
+		MemBudget: rf.memBudget,
 	}
 	if len(rf.engines) > 0 {
-		// Portfolio mode: the daemon rejects engine+engines together, and
-		// the per-engine knobs don't apply to preconfigured contenders.
+		// Portfolio mode: the daemon rejects engine+engines together.
 		ropts.Engine = ""
 		ropts.Engines = rf.engines
 	}

@@ -10,7 +10,7 @@
 //	verifasd [-addr :8080] [-workers N] [-queue N]
 //	         [-cache N] [-store-dir DIR] [-store-max SIZE]
 //	         [-default-timeout D] [-max-timeout D]
-//	         [-node ID] [-lease-ttl D]
+//	         [-node ID]
 //	         [-debug-addr ADDR] [-version]
 //
 // With -store-dir the in-memory result cache is layered over a
@@ -18,12 +18,11 @@
 // (and can be shared by replicas on one filesystem), bounded on disk by
 // -store-max with LRU-by-mtime eviction.
 //
-// With -node (and -store-dir) the daemon runs as one replica of a
-// fleet: job ids carry the node prefix so a verifas-router can route
-// id-addressed requests back, /readyz reports routable readiness, and
-// engine runs are guarded by TTL'd lease files under DIR/leases so
-// sibling replicas sharing DIR never recompute a key one of them is
-// already verifying. See README.md "Running a fleet".
+// With -node (and a -store-dir shared with its siblings) the daemon runs
+// as one replica of a fleet: job ids carry the node prefix so a
+// verifas-router can route id-addressed requests back, /readyz reports
+// routable readiness, and a verdict any replica stored answers the key
+// on every replica. See README.md "Running a fleet".
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: new submissions are
 // rejected with 503, running verifications are canceled via their
@@ -39,7 +38,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"syscall"
 	"time"
@@ -69,7 +67,6 @@ func run() int {
 		maxStates    = flag.Int("max-states", core.DefaultMaxStates, "default state budget per search phase")
 		jobMemBudget = flag.String("job-mem-budget", "", "default per-job memory budget when a job sets no mem_budget option (e.g. 64M, 2G; empty = unlimited)")
 		node         = flag.String("node", "", "fleet node id: prefixes job ids for router affinity and names this replica in /readyz and /v1/stats (empty = standalone)")
-		leaseTTL     = flag.Duration("lease-ttl", store.DefaultLeaseTTL, "cross-replica singleflight lease TTL (needs -node and -store-dir; a crashed replica's leases expire after this)")
 		drainTimeout = flag.Duration("drain-timeout", 15*time.Second, "bound on the graceful-shutdown drain")
 		debugAddr    = flag.String("debug-addr", "", "serve pprof and expvar on this address (e.g. localhost:6060)")
 		showVer      = flag.Bool("version", false, "print the build version and exit")
@@ -104,21 +101,6 @@ func run() int {
 		resultStore = store.NewTiered(store.NewMemory(*cacheSize), disk)
 	}
 
-	// Fleet mode: with a node id and a shared store directory, engine
-	// runs are guarded by TTL'd lease files next to the store so sibling
-	// replicas never recompute a key one of them is already verifying.
-	// The periodic sweep clears leases a crashed replica left behind.
-	var leases *store.LeaseManager
-	if *node != "" && *storeDir != "" {
-		var err error
-		leases, err = store.OpenLeases(filepath.Join(*storeDir, "leases"), *node, *leaseTTL)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "leases:", err)
-			return 2
-		}
-		leases.StartSweeper(*leaseTTL)
-	}
-
 	reg := obs.NewRegistry()
 	svc := service.NewServer(service.Config{
 		Workers:          *workers,
@@ -132,7 +114,6 @@ func run() int {
 		Registry:         reg,
 		Version:          version.String(),
 		NodeID:           *node,
-		Leases:           leases,
 	})
 	// All three aggregates surface on /debug/vars next to the runtime's
 	// expvars: the verifier-event totals, the service counters, and the

@@ -6,10 +6,12 @@
 // harness that prove fleet-wide request coalescing under heavy traffic.
 //
 // The ring keys on the same SHA-256 cache key internal/service derives
-// for its result store, so identical specs land on one shard whose local
-// singleflight coalesces them; the shared persistent store plus TTL'd
-// lease files (internal/store.LeaseManager) extend the coalescing across
-// replicas for failover windows and router-less clients.
+// for its result store, so identical specs land on one shard whose
+// singleflight coalesces them while they are in flight, and the shared
+// persistent store answers them on every replica once one has finished.
+// During a failover window a key in flight may run on two replicas: the
+// work is duplicated, the verdict is not at risk (store writes are
+// content-addressed atomic renames).
 package fleet
 
 import (

@@ -49,8 +49,8 @@ type RouterConfig struct {
 
 // Router is the fleet's stateless HTTP front door: it owns a
 // consistent-hash ring over the configured replicas, routes each
-// submission to the replica owning the job's cache key (so the
-// cross-replica lease protocol degenerates to cheap local coalescing),
+// submission to the replica owning the job's cache key (where identical
+// in-flight jobs coalesce onto one run),
 // routes id-addressed requests (status/result/events/cancel) to the
 // replica that issued the id, and fails over along the ring's successor
 // sequence when the owner is not ready.
@@ -156,13 +156,8 @@ type FleetAggregate struct {
 	ReplicasSeen int `json:"replicas_seen"`
 	// EngineRuns is the total engine executions across the fleet.
 	EngineRuns int64 `json:"engine_runs"`
-	// Coalesced sums local singleflight joins; LeaseWaits and
-	// LeaseCoalesced the cross-replica ones; LeaseExpiries the stale
-	// leases taken over or swept.
-	Coalesced      int64 `json:"coalesced"`
-	LeaseWaits     int64 `json:"lease_waits"`
-	LeaseCoalesced int64 `json:"lease_coalesced"`
-	LeaseExpiries  int64 `json:"lease_expiries"`
+	// Coalesced sums the replicas' singleflight joins.
+	Coalesced int64 `json:"coalesced"`
 	// CacheHits sums both store tiers' hits; MemoryHits and DiskHits
 	// split them per tier.
 	CacheHits  int64 `json:"cache_hits"`
@@ -468,8 +463,8 @@ func (rt *Router) proxyFailover(w http.ResponseWriter, r *http.Request, targets 
 			resp.StatusCode == http.StatusTooManyRequests {
 			// Buffer the rejection and try the next candidate; it is
 			// replayed only if nobody else answers. 429 fails over too:
-			// another shard may have capacity (at the cost of a lease
-			// wait instead of local coalescing).
+			// another shard may have capacity (at the cost of running
+			// the key outside its owner's singleflight).
 			b, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 			resp.Body.Close()
 			last = &proxied{status: resp.StatusCode, header: resp.Header, body: b}
@@ -594,11 +589,6 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 			agg.ReplicasSeen++
 			agg.EngineRuns += stats.Service.EngineRuns
 			agg.Coalesced += stats.Service.Coalesced
-			agg.LeaseWaits += stats.Service.LeaseWaits
-			agg.LeaseCoalesced += stats.Service.LeaseCoalesced
-			if stats.Leases != nil {
-				agg.LeaseExpiries += stats.Leases.Takeovers + stats.Leases.Swept
-			}
 			if t := stats.Store.Memory; t != nil {
 				agg.CacheHits += t.Hits
 				agg.MemoryHits += t.Hits

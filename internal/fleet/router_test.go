@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -25,9 +24,9 @@ type replica struct {
 	node string
 }
 
-// startFleet boots n replicas sharing one store directory (tiered store
-// + lease manager each, the production fleet shape) and a router over
-// them with its first health sweep done.
+// startFleet boots n replicas sharing one store directory (a tiered
+// store each, the production fleet shape) and a router over them with
+// its first health sweep done.
 func startFleet(t *testing.T, n int) (*fleet.Router, *httptest.Server, []*replica) {
 	t.Helper()
 	dir := t.TempDir()
@@ -39,15 +38,10 @@ func startFleet(t *testing.T, n int) (*fleet.Router, *httptest.Server, []*replic
 		if err != nil {
 			t.Fatal(err)
 		}
-		leases, err := store.OpenLeases(filepath.Join(dir, "leases"), node, 2*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
 		svc := service.NewServer(service.Config{
 			Workers: 2,
 			NodeID:  node,
 			Store:   store.NewTiered(store.NewMemory(16), disk),
-			Leases:  leases,
 		})
 		ts := httptest.NewServer(svc.Handler())
 		t.Cleanup(func() {

@@ -6,13 +6,10 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
 
-	"verifas/internal/benchmark/envinfo"
 	"verifas/internal/fleet"
 	"verifas/internal/fleet/loadgen"
 	"verifas/internal/service"
@@ -64,24 +61,18 @@ type soakReplica struct {
 }
 
 // launchSoak boots a replica for the fleet soak: tiered store over the
-// shared dir, lease manager with a short TTL, listener on addr
-// ("127.0.0.1:0" picks a port; pass the previous addr to restart).
+// shared dir, listener on addr ("127.0.0.1:0" picks a port; pass the
+// previous addr to restart).
 func launchSoak(t *testing.T, dir, node, addr string) *soakReplica {
 	t.Helper()
 	disk, err := store.OpenDisk(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	leases, err := store.OpenLeases(filepath.Join(dir, "leases"), node, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	leases.StartSweeper(time.Second)
 	svc := service.NewServer(service.Config{
 		Workers: 4,
 		NodeID:  node,
 		Store:   store.NewTiered(store.NewMemory(16), disk),
-		Leases:  leases,
 	})
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -96,7 +87,7 @@ func launchSoak(t *testing.T, dir, node, addr string) *soakReplica {
 // once; the server object is abandoned without a drain.
 func (r *soakReplica) kill() { _ = r.srv.Close() }
 
-// soakOutcome bundles what the assertions and the bench emitter need.
+// soakOutcome bundles what the assertions need.
 type soakOutcome struct {
 	report *loadgen.Report
 	stats  fleet.RouterStatsResponse
@@ -277,59 +268,4 @@ func TestFleetSoak(t *testing.T) {
 	}
 	t.Logf("soak: qps=%.0f p50=%.1fms p99=%.1fms cached=%d resubmits=%d failovers=%d",
 		rep.QPS, rep.P50MS, rep.P99MS, rep.Cached, rep.Resubmits, out.stats.Router.Failovers)
-}
-
-// fleetBench is the BENCH_fleet.json record: the soak's load report
-// plus the router's fleet-wide counters.
-type fleetBench struct {
-	Replicas int             `json:"replicas"`
-	Load     *loadgen.Report `json:"load"`
-	// CoalesceRate is the fraction of completed jobs answered without
-	// a dedicated engine run (store hits + singleflight joins).
-	CoalesceRate float64 `json:"coalesce_rate"`
-	// MemoryHitRate/DiskHitRate split the fleet's store hits by tier.
-	MemoryHitRate  float64                     `json:"memory_hit_rate"`
-	DiskHitRate    float64                     `json:"disk_hit_rate"`
-	Router         fleet.RouterMetricsSnapshot `json:"router"`
-	Fleet          fleet.FleetAggregate        `json:"fleet"`
-	PostWarmupRuns int64                       `json:"post_warmup_engine_runs"`
-	Env            envinfo.Env                 `json:"env"`
-}
-
-// TestWriteFleetBenchJSON runs the soak and writes the machine-readable
-// record to $BENCH_FLEET_JSON (skipped when unset; `make fleet-soak`
-// sets it).
-func TestWriteFleetBenchJSON(t *testing.T) {
-	path := os.Getenv("BENCH_FLEET_JSON")
-	if path == "" {
-		t.Skip("set BENCH_FLEET_JSON=/path/to/BENCH_fleet.json to write the fleet soak record")
-	}
-	out := runSoak(t, 1000, 50, 400)
-	rep := out.report
-	if rep.Lost != 0 || rep.Completed != rep.Jobs {
-		t.Fatalf("soak not clean (lost=%d completed=%d/%d): not writing a bench record", rep.Lost, rep.Completed, rep.Jobs)
-	}
-	rec := fleetBench{
-		Replicas:       3,
-		Load:           rep,
-		Router:         out.stats.Router,
-		Fleet:          out.stats.Fleet,
-		PostWarmupRuns: out.postWarmupRuns,
-		Env:            envinfo.Collect(),
-	}
-	if rep.Completed > 0 {
-		rec.CoalesceRate = float64(rep.Cached) / float64(rep.Completed)
-	}
-	if hits := out.stats.Fleet.CacheHits; hits > 0 {
-		rec.MemoryHitRate = float64(out.stats.Fleet.MemoryHits) / float64(hits)
-		rec.DiskHitRate = float64(out.stats.Fleet.DiskHits) / float64(hits)
-	}
-	b, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s: qps=%.0f p50=%.1fms p99=%.1fms coalesce=%.2f", path, rep.QPS, rep.P50MS, rep.P99MS, rec.CoalesceRate)
 }

@@ -83,10 +83,10 @@ property p of Main {
 	}
 	// ...and each option.
 	for name, o := range map[string]EngineOptions{
-		"engine":     {Engine: EngineSpinlike, TimeoutMS: 1000, MaxStates: 100},
+		"engine":     {Engine: "spinlike", TimeoutMS: 1000, MaxStates: 100},
+		"ablation":   {Engine: "verifas-nosp", TimeoutMS: 1000, MaxStates: 100},
 		"timeout":    {Engine: EngineVerifas, TimeoutMS: 2000, MaxStates: 100},
 		"max_states": {Engine: EngineVerifas, TimeoutMS: 1000, MaxStates: 200},
-		"no_sp":      {Engine: EngineVerifas, TimeoutMS: 1000, MaxStates: 100, NoStatePruning: true},
 	} {
 		if got := cacheKey(f.System, prop, o); got == base {
 			t.Errorf("option %s did not change the key", name)
@@ -121,35 +121,3 @@ func TestCacheKeyEngines(t *testing.T) {
 // The LRU behaviour itself is tested in internal/store (the cache moved
 // there as store.Memory); this file keeps the cache-key canonicalization
 // tests, which are service-level concerns.
-
-// TestNormalizeOptionsRejectsIgnoredKnobs: a tuning knob that the
-// selected engine would ignore is a 400 bad-options instead of a silent
-// drop that still splits the cache key.
-func TestNormalizeOptionsRejectsIgnoredKnobs(t *testing.T) {
-	cases := []struct {
-		name   string
-		opts   RequestOptions
-		reject bool
-	}{
-		{"no_sa on default engine", RequestOptions{NoStaticAnalysis: true}, false},
-		{"no_rr on verifas", RequestOptions{Engine: EngineVerifas, SkipRepeatedReachability: true}, false},
-		{"spin_fresh on spinlike", RequestOptions{Engine: EngineSpinlike, SpinFresh: 3}, false},
-		{"no_sa on verifas-nosp", RequestOptions{Engine: "verifas-nosp", NoStaticAnalysis: true}, true},
-		{"no_sp on spinlike", RequestOptions{Engine: EngineSpinlike, NoStatePruning: true}, true},
-		{"no_set on spinlike-bitstate", RequestOptions{Engine: "spinlike-bitstate", IgnoreSets: true}, true},
-		{"no_dss on verifas-norr", RequestOptions{Engine: "verifas-norr", NoIndexes: true}, true},
-		{"spin_fresh on default engine", RequestOptions{SpinFresh: 3}, true},
-		{"spin_fresh on verifas", RequestOptions{Engine: EngineVerifas, SpinFresh: 3}, true},
-		{"spin_fresh on spinlike-bitstate", RequestOptions{Engine: "spinlike-bitstate", SpinFresh: 3}, true},
-	}
-	for _, c := range cases {
-		opts := c.opts
-		_, aerr := normalizeOptions(&opts, KeyDefaults{})
-		switch {
-		case c.reject && (aerr == nil || aerr.status != 400 || aerr.code != codeBadOptions):
-			t.Errorf("%s: got %+v, want 400 %s", c.name, aerr, codeBadOptions)
-		case !c.reject && aerr != nil:
-			t.Errorf("%s: rejected: %s", c.name, aerr.msg)
-		}
-	}
-}

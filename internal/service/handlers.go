@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -114,9 +115,6 @@ type StatsResponse struct {
 	Engines []string `json:"engines"`
 	// Node is the replica's fleet node id (empty standalone).
 	Node string `json:"node,omitempty"`
-	// Leases is the cross-replica singleflight counter snapshot (absent
-	// when no lease manager is configured).
-	Leases *store.LeaseStats `json:"leases,omitempty"`
 }
 
 // MemBudgetInfo describes the per-job `mem_budget` option's server
@@ -158,20 +156,26 @@ func writeErr(w http.ResponseWriter, e *apiError) {
 	writeJSON(w, e.status, ErrorBody{Error: ErrorDetail{Code: e.code, Message: e.msg}})
 }
 
+// decodeSubmit turns a POST /v1/jobs body into a resolved request. The
+// decoder is strict: an unknown field, removed options included, is a
+// 400 bad-request that names it. Every failure is an *apiError.
+func (s *Server) decodeSubmit(body []byte) (*resolved, *apiError) {
+	var req SubmitRequest
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return nil, badRequestf(codeBadRequest, "decoding request: %v", err)
+	}
+	return s.resolve(&req)
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 4<<20))
 	if err != nil {
 		writeErr(w, badRequestf(codeBadRequest, "reading body: %v", err))
 		return
 	}
-	var req SubmitRequest
-	dec := json.NewDecoder(strings.NewReader(string(body)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeErr(w, badRequestf(codeBadRequest, "decoding request: %v", err))
-		return
-	}
-	res, aerr := s.resolve(&req)
+	res, aerr := s.decodeSubmit(body)
 	if aerr != nil {
 		writeErr(w, aerr)
 		return
@@ -315,7 +319,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	resp := StatsResponse{
+	writeJSON(w, http.StatusOK, StatsResponse{
 		Service:      s.met.Snapshot(),
 		Verifier:     json.RawMessage(s.cfg.Registry.String()),
 		CacheEntries: s.store.Len(),
@@ -325,12 +329,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		},
 		Engines: EngineNames(),
 		Node:    s.cfg.NodeID,
-	}
-	if s.cfg.Leases != nil {
-		ls := s.cfg.Leases.Stats()
-		resp.Leases = &ls
-	}
-	writeJSON(w, http.StatusOK, resp)
+	})
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {

@@ -139,8 +139,9 @@ func TestBadRequestBodies(t *testing.T) {
 }
 
 // TestRemovedOptionsRejected: there are no "workers", "relaxed" or
-// "agg_rr" job options, so the strict decoder answers a body naming any
-// of them with a 400 bad-request that names the field.
+// "agg_rr" job options, and no per-job tuning knobs (the ablations are
+// engine names such as "verifas-nosp"), so the strict decoder answers a
+// body naming any of them with a 400 bad-request that names the field.
 func TestRemovedOptionsRejected(t *testing.T) {
 	svc := service.NewServer(service.Config{Workers: 1})
 	ts := httptest.NewServer(svc.Handler())
@@ -148,7 +149,11 @@ func TestRemovedOptionsRejected(t *testing.T) {
 		ts.Close()
 		_ = svc.Shutdown(context.Background())
 	})
-	for _, opt := range []string{`"workers": 2`, `"relaxed": true`, `"agg_rr": true`} {
+	for _, opt := range []string{
+		`"workers": 2`, `"relaxed": true`, `"agg_rr": true`,
+		`"no_sp": true`, `"no_sa": true`, `"no_dss": true`, `"no_set": true`, `"no_rr": true`,
+		`"spin_fresh": 3`,
+	} {
 		body := `{"workflow": "OrderFulfillment", "property_src": "", "options": {` + opt + `}}`
 		resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json", bytes.NewBufferString(body))
 		if err != nil {
@@ -169,7 +174,9 @@ func TestRemovedOptionsRejected(t *testing.T) {
 }
 
 // TestStatsAndHealth: the aggregate endpoints expose the service
-// counters, the verifier registry and the build version.
+// counters, the verifier registry and the build version. A run's
+// completion is counted before its verdict is published, so a client
+// that has the verdict reads it in the counters at once.
 func TestStatsAndHealth(t *testing.T) {
 	spec := loadSpec(t)
 	_, cl := newTestServer(t, service.Config{Workers: 1, Version: "test-build"})
@@ -183,18 +190,27 @@ func TestStatsAndHealth(t *testing.T) {
 		t.Fatalf("health = %+v", h)
 	}
 
-	if _, err := cl.Verify(ctx, &service.SubmitRequest{Spec: spec, Property: "ship_only_in_stock"}); err != nil {
-		t.Fatal(err)
+	// Distinct max_states values give distinct keys, so every
+	// verification runs the engine.
+	const runs = 20
+	var st *service.StatsResponse
+	for i := 1; i <= runs; i++ {
+		if _, err := cl.Verify(ctx, &service.SubmitRequest{
+			Spec: spec, Property: "ship_only_in_stock",
+			Options: &service.RequestOptions{MaxStates: 100_000 + i},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if st, err = cl.Stats(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if st.Service.Submitted != int64(i) || st.Service.Completed != int64(i) {
+			t.Fatalf("after %d verifications: service counters = %+v", i, st.Service)
+		}
 	}
-	st, err := cl.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Service.Submitted != 1 || st.Service.Completed != 1 {
-		t.Errorf("service counters = %+v", st.Service)
-	}
-	if st.CacheEntries != 1 {
-		t.Errorf("cache entries = %d, want 1", st.CacheEntries)
+	if st.CacheEntries != runs {
+		t.Errorf("cache entries = %d, want %d", st.CacheEntries, runs)
 	}
 	var reg struct {
 		RunsDone int64 `json:"runs_done"`
@@ -203,7 +219,7 @@ func TestStatsAndHealth(t *testing.T) {
 	if err := json.Unmarshal(st.Verifier, &reg); err != nil {
 		t.Fatalf("verifier registry is not JSON: %v", err)
 	}
-	if reg.RunsDone != 1 || reg.Holds != 1 {
+	if reg.RunsDone != runs || reg.Holds != runs {
 		t.Errorf("registry = %+v", reg)
 	}
 }

@@ -140,21 +140,6 @@ func (h *hub) terminalCanceled() {
 	h.close()
 }
 
-// terminalCachedVerdict appends a synthesized verdict record for a
-// result obtained from the shared store instead of a local engine run
-// (fleet-coalesced executions) and seals the stream.
-func (h *hub) terminalCachedVerdict(res *core.Result) {
-	ev := core.VerdictEvent{Verdict: res.Verdict, Stats: res.Stats}
-	if res.Violation != nil {
-		ev.ViolationKind = res.Violation.Kind
-	}
-	h.append(StreamEvent{
-		Event:  obs.Event{Type: obs.EventVerdict, Verdict: &ev},
-		Cached: true,
-	})
-	h.close()
-}
-
 // cachedStream synthesizes the one-record stream of a cache hit: the
 // stored verdict, flagged Cached.
 func cachedStream(run string, res *core.Result) []StreamEvent {

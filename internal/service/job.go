@@ -45,25 +45,18 @@ type SubmitRequest struct {
 type RequestOptions struct {
 	// Engine selects a single engine by registry name: "verifas"
 	// (default), "spinlike" (the bounded baseline), or any other name in
-	// the built-in registry ("verifas-noset", "spinlike-bitstate", ...).
+	// the built-in registry. The paper's ablations are registry names
+	// too ("verifas-noset", "verifas-nosp", "verifas-nosa",
+	// "verifas-nodss", "verifas-norr"), as is "spinlike-bitstate".
 	// Mutually exclusive with Engines.
 	Engine string `json:"engine,omitempty"`
 	// Engines selects portfolio mode: the named engines race on the job
 	// under one shared budget, the first decisive verdict wins and the
 	// losers are canceled. Order is the deterministic tie-break priority.
 	// The list participates in the result-cache key. Mutually exclusive
-	// with Engine and with the per-engine tuning knobs below (the
-	// ablation switches, spin_fresh) — portfolio contenders are
-	// preconfigured registry variants. A single-element list degenerates
-	// to that engine alone.
+	// with Engine. A single-element list degenerates to that engine
+	// alone.
 	Engines []string `json:"engines,omitempty"`
-	// The VERIFAS optimization switches (see core.Options). Valid only
-	// with engine "verifas" (the default); other engines reject them.
-	NoStatePruning           bool `json:"no_sp,omitempty"`
-	NoStaticAnalysis         bool `json:"no_sa,omitempty"`
-	NoIndexes                bool `json:"no_dss,omitempty"`
-	IgnoreSets               bool `json:"no_set,omitempty"`
-	SkipRepeatedReachability bool `json:"no_rr,omitempty"`
 	// TimeoutMS bounds the verification wall clock in milliseconds
 	// (0 = server default). Must be non-negative.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
@@ -79,9 +72,6 @@ type RequestOptions struct {
 	// ProgressStride is the state-count stride between streamed progress
 	// events (0 = core.DefaultProgressStride).
 	ProgressStride int `json:"progress_stride,omitempty"`
-	// SpinFresh is the spinlike engine's fresh-values-per-sort bound k
-	// (0 = 2, the benchmark default). Valid only with engine "spinlike".
-	SpinFresh int `json:"spin_fresh,omitempty"`
 }
 
 // EngineOptions is the normalized form of RequestOptions with every
@@ -97,17 +87,11 @@ type EngineOptions struct {
 	// JSON marshals unconditionally, so the engine selection — including
 	// contender order — is part of the cache key: a portfolio result can
 	// never collide with a single-engine result for the same spec.
-	Engines                  []string `json:"engines"`
-	NoStatePruning           bool     `json:"no_sp"`
-	NoStaticAnalysis         bool     `json:"no_sa"`
-	NoIndexes                bool     `json:"no_dss"`
-	IgnoreSets               bool     `json:"no_set"`
-	SkipRepeatedReachability bool     `json:"no_rr"`
-	TimeoutMS                int64    `json:"timeout_ms"`
-	MaxStates                int      `json:"max_states"`
-	MemBudget                int64    `json:"mem_budget"`
-	ProgressStride           int      `json:"progress_stride"`
-	SpinFresh                int      `json:"spin_fresh"`
+	Engines        []string `json:"engines"`
+	TimeoutMS      int64    `json:"timeout_ms"`
+	MaxStates      int      `json:"max_states"`
+	MemBudget      int64    `json:"mem_budget"`
+	ProgressStride int      `json:"progress_stride"`
 }
 
 // Timeout returns the wall-clock bound as a duration.
@@ -373,29 +357,20 @@ func resolveRequest(req *SubmitRequest, d KeyDefaults) (*resolved, *apiError) {
 	}, nil
 }
 
-// ablated reports whether any VERIFAS ablation switch is set.
-func (o *RequestOptions) ablated() bool {
-	return o.NoStatePruning || o.NoStaticAnalysis || o.NoIndexes || o.IgnoreSets || o.SkipRepeatedReachability
-}
-
 // normalizeOptions applies the defaults and range-checks the request
 // options.
 func normalizeOptions(o *RequestOptions, d KeyDefaults) (EngineOptions, *apiError) {
 	if o == nil {
 		o = &RequestOptions{}
 	}
-	if o.TimeoutMS < 0 || o.MaxStates < 0 || o.MemBudget < 0 || o.ProgressStride < 0 || o.SpinFresh < 0 {
+	if o.TimeoutMS < 0 || o.MaxStates < 0 || o.MemBudget < 0 || o.ProgressStride < 0 {
 		return EngineOptions{}, badRequestf(codeBadOptions,
-			"options must be non-negative (timeout_ms=%d max_states=%d mem_budget=%d progress_stride=%d spin_fresh=%d)",
-			o.TimeoutMS, o.MaxStates, o.MemBudget, o.ProgressStride, o.SpinFresh)
+			"options must be non-negative (timeout_ms=%d max_states=%d mem_budget=%d progress_stride=%d)",
+			o.TimeoutMS, o.MaxStates, o.MemBudget, o.ProgressStride)
 	}
 	if len(o.Engines) > 0 {
 		if o.Engine != "" {
 			return EngineOptions{}, badRequestf(codeBadOptions, "engine and engines are mutually exclusive")
-		}
-		if o.ablated() || o.SpinFresh != 0 {
-			return EngineOptions{}, badRequestf(codeBadOptions,
-				"per-engine tuning knobs (no_sp/no_sa/no_dss/no_set/no_rr/spin_fresh) are not valid with engines; name preconfigured variants instead (e.g. \"verifas-noset\", \"spinlike-bitstate\")")
 		}
 		seen := make(map[string]bool, len(o.Engines))
 		for _, name := range o.Engines {
@@ -407,34 +382,13 @@ func normalizeOptions(o *RequestOptions, d KeyDefaults) (EngineOptions, *apiErro
 			}
 			seen[name] = true
 		}
-	} else {
-		// A knob the selected engine ignores would still enter the cache
-		// key, so reject it rather than drop it silently.
-		engine := o.Engine
-		if engine == "" {
-			engine = EngineVerifas
-		}
-		if engine != EngineVerifas && o.ablated() {
-			return EngineOptions{}, badRequestf(codeBadOptions,
-				"ablation switches (no_sp/no_sa/no_dss/no_set/no_rr) apply only to engine %q, not %q; name a preconfigured variant instead (e.g. \"verifas-noset\")", EngineVerifas, engine)
-		}
-		if engine != EngineSpinlike && o.SpinFresh != 0 {
-			return EngineOptions{}, badRequestf(codeBadOptions,
-				"spin_fresh applies only to engine %q, not %q", EngineSpinlike, engine)
-		}
 	}
 	e := EngineOptions{
-		Engine:                   o.Engine,
-		NoStatePruning:           o.NoStatePruning,
-		NoStaticAnalysis:         o.NoStaticAnalysis,
-		NoIndexes:                o.NoIndexes,
-		IgnoreSets:               o.IgnoreSets,
-		SkipRepeatedReachability: o.SkipRepeatedReachability,
-		TimeoutMS:                o.TimeoutMS,
-		MaxStates:                o.MaxStates,
-		MemBudget:                o.MemBudget,
-		ProgressStride:           o.ProgressStride,
-		SpinFresh:                o.SpinFresh,
+		Engine:         o.Engine,
+		TimeoutMS:      o.TimeoutMS,
+		MaxStates:      o.MaxStates,
+		MemBudget:      o.MemBudget,
+		ProgressStride: o.ProgressStride,
 	}
 	// Canonicalize the engine selection before the cache key is derived:
 	// a one-element portfolio IS that engine, and real portfolios get
@@ -461,9 +415,6 @@ func normalizeOptions(o *RequestOptions, d KeyDefaults) (EngineOptions, *apiErro
 	}
 	if e.ProgressStride == 0 {
 		e.ProgressStride = core.DefaultProgressStride
-	}
-	if e.SpinFresh == 0 {
-		e.SpinFresh = 2
 	}
 	if d.MaxTimeout > 0 && e.Timeout() > d.MaxTimeout {
 		return EngineOptions{}, badRequestf(codeBadOptions,

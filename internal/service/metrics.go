@@ -25,16 +25,10 @@ type Metrics struct {
 	rejectedFull     atomic.Int64
 	rejectedDraining atomic.Int64
 
-	// Fleet counters: engineRuns counts actual engine invocations (the
-	// fleet-wide duplicate-execution assertion of the soak test is
-	// derived from it), leaseWaits jobs parked behind a sibling
-	// replica's lease, leaseCoalesced jobs answered by a sibling's
-	// result from the shared store, leaseTakeovers claims of expired
-	// leases from crashed owners.
-	engineRuns     atomic.Int64
-	leaseWaits     atomic.Int64
-	leaseCoalesced atomic.Int64
-	leaseTakeovers atomic.Int64
+	// engineRuns counts actual engine invocations (the fleet-wide
+	// duplicate-execution assertion of the soak test is derived from
+	// it).
+	engineRuns atomic.Int64
 
 	// queueDepth/queueCap are set by the server on snapshot; kept here so
 	// one var carries the whole picture.
@@ -78,17 +72,10 @@ type MetricsSnapshot struct {
 	RejectedFull     int64 `json:"rejected_queue_full"`
 	RejectedDraining int64 `json:"rejected_draining"`
 	// EngineRuns counts actual engine invocations: submissions answered
-	// by cache, singleflight or a sibling replica do not run an engine,
-	// so fleet-wide duplicate execution is asserted from this counter.
+	// by the store (either tier, so also a sibling replica's stored
+	// verdict) or by singleflight do not run an engine, so fleet-wide
+	// duplicate execution is asserted from this counter.
 	EngineRuns int64 `json:"engine_runs"`
-	// LeaseWaits counts jobs that parked behind a sibling replica's
-	// in-flight lease; LeaseCoalesced the jobs whose verdict then came
-	// from the sibling's result in the shared store (cross-replica
-	// singleflight); LeaseTakeovers claims of expired leases left by
-	// crashed owners.
-	LeaseWaits     int64 `json:"lease_waits"`
-	LeaseCoalesced int64 `json:"lease_coalesced"`
-	LeaseTakeovers int64 `json:"lease_takeovers"`
 	// QueueDepth is the number of queued-but-unclaimed runs right now;
 	// QueueCapacity the admission bound.
 	QueueDepth    int `json:"queue_depth"`
@@ -109,9 +96,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		RejectedFull:     m.rejectedFull.Load(),
 		RejectedDraining: m.rejectedDraining.Load(),
 		EngineRuns:       m.engineRuns.Load(),
-		LeaseWaits:       m.leaseWaits.Load(),
-		LeaseCoalesced:   m.leaseCoalesced.Load(),
-		LeaseTakeovers:   m.leaseTakeovers.Load(),
 	}
 	s.CacheHits = s.CacheHitsMemory + s.CacheHitsDisk
 	if m.depth != nil {

@@ -3,46 +3,50 @@ package service_test
 import (
 	"context"
 	"encoding/json"
-	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"verifas/internal/obs"
 	"verifas/internal/service"
-	"verifas/internal/service/client"
 )
 
 // TestPortfolioOptionValidation: every malformed engines selection is a
-// structured 400 at submit time, before a queue slot is taken.
+// structured 400 at submit time, before a queue slot is taken. The
+// options go on the wire as raw JSON so that fields RequestOptions does
+// not have (a removed tuning knob) reach the strict decoder.
 func TestPortfolioOptionValidation(t *testing.T) {
-	spec := loadSpec(t)
+	spec, err := json.Marshal(loadSpec(t))
+	if err != nil {
+		t.Fatal(err)
+	}
 	_, cl := newTestServer(t, service.Config{Workers: 1})
-	ctx := context.Background()
 
 	cases := []struct {
 		name string
-		opts service.RequestOptions
+		opts string
 		code string
 	}{
-		{"engine and engines together", service.RequestOptions{Engine: "verifas", Engines: []string{"spinlike"}}, "bad-options"},
-		{"tuning knob with engines", service.RequestOptions{Engines: []string{"verifas", "spinlike"}, NoStatePruning: true}, "bad-options"},
-		{"empty contender name", service.RequestOptions{Engines: []string{"verifas", ""}}, "bad-options"},
-		{"duplicate contender", service.RequestOptions{Engines: []string{"verifas", "verifas"}}, "bad-options"},
-		{"unknown contender", service.RequestOptions{Engines: []string{"verifas", "nope"}}, "unknown-engine"},
+		{"engine and engines together", `{"engine": "verifas", "engines": ["spinlike"]}`, "bad-options"},
+		{"tuning knob with engines", `{"engines": ["verifas", "spinlike"], "no_sp": true}`, "bad-request"},
+		{"empty contender name", `{"engines": ["verifas", ""]}`, "bad-options"},
+		{"duplicate contender", `{"engines": ["verifas", "verifas"]}`, "bad-options"},
+		{"unknown contender", `{"engines": ["verifas", "nope"]}`, "unknown-engine"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			opts := c.opts
-			_, err := cl.Submit(ctx, &service.SubmitRequest{
-				Spec:     spec,
-				Property: "ship_only_in_stock",
-				Options:  &opts,
-			})
-			var ae *client.APIError
-			if !errors.As(err, &ae) {
-				t.Fatalf("err = %v, want *client.APIError", err)
+			body := fmt.Sprintf(`{"spec": %s, "property": "ship_only_in_stock", "options": %s}`, spec, c.opts)
+			resp, err := cl.HTTP.Post(cl.Base+"/v1/jobs", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
 			}
-			if ae.Status != 400 || ae.Code != c.code {
-				t.Errorf("got %d %q, want 400 %q", ae.Status, ae.Code, c.code)
+			defer resp.Body.Close()
+			var eb service.ErrorBody
+			if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+				t.Fatalf("error body is not the structured envelope: %v", err)
+			}
+			if resp.StatusCode != 400 || eb.Error.Code != c.code {
+				t.Errorf("got %d %q (%s), want 400 %q", resp.StatusCode, eb.Error.Code, eb.Error.Message, c.code)
 			}
 		})
 	}

@@ -1,15 +1,18 @@
 // Package service turns the VERIFAS engines into a long-lived
 // verification server: jobs (spec + LTL-FO property + options) are
 // submitted over HTTP/JSON, executed on a bounded worker pool through the
-// shared core.Engine dispatch — a single engine by name, or a portfolio
-// racing several registered engines with first-decisive-verdict-wins
-// (the "engines" job option) — observed live through a streaming events
-// endpoint carrying the core.Observer event model, and answered from a
-// content-addressed result cache when an identical job was verified
-// before. Identical in-flight jobs coalesce onto one engine run
-// (singleflight); a bounded queue applies admission control (429 +
-// Retry-After on overflow); Shutdown drains by canceling every run's
-// context and rejecting new submissions with 503.
+// shared core.Engine dispatch — a single engine by registry name (the
+// paper's ablations are names too, such as "verifas-nosp"), or a
+// portfolio racing several registered engines with
+// first-decisive-verdict-wins (the "engines" job option) — observed live
+// through a streaming events endpoint carrying the core.Observer event
+// model, and answered from a content-addressed result cache when an
+// identical job was verified before. Identical in-flight jobs coalesce
+// onto one engine run (singleflight, the only in-flight coalescing
+// layer; in a fleet the router sends each key to one replica); a bounded
+// queue applies admission control (429 + Retry-After on overflow);
+// Shutdown drains by canceling every run's context and rejecting new
+// submissions with 503.
 //
 // The HTTP surface (all JSON):
 //
@@ -36,19 +39,16 @@ import (
 	"verifas/internal/core"
 	"verifas/internal/engines"
 	"verifas/internal/obs"
-	"verifas/internal/spinlike"
 	"verifas/internal/store"
 )
 
-// Engine labels accepted in RequestOptions.Engine. Any name in the
-// built-in engine registry (engines.Default: the verifas ablation
-// variants, "spinlike-bitstate", ...) is also accepted; these two get
-// dedicated handling for their per-job tuning knobs (the ablation
-// switches, spin_fresh). EnginePortfolio is the synthesized label of
-// jobs that set the "engines" list.
+// EngineVerifas is the engine of jobs that name none. Any name in the
+// built-in engine registry (engines.Default: "verifas" and its ablation
+// variants, "spinlike", "spinlike-bitstate") is accepted.
+// EnginePortfolio is the synthesized label of jobs that set the
+// "engines" list.
 const (
 	EngineVerifas   = "verifas"
-	EngineSpinlike  = "spinlike"
 	EnginePortfolio = "portfolio"
 )
 
@@ -98,8 +98,7 @@ type Config struct {
 	// Registry receives every run's events for aggregate metrics; nil
 	// creates a private one.
 	Registry *obs.Registry
-	// Engine overrides the engine dispatch (nil = built-in verifas +
-	// spinlike).
+	// Engine overrides the engine dispatch (nil = BuiltinEngine).
 	Engine EngineFunc
 	// Version is reported by /healthz (default "unknown").
 	Version string
@@ -109,14 +108,6 @@ type Config struct {
 	// /readyz and /v1/stats report the node. Empty keeps the standalone
 	// "j-000001" format.
 	NodeID string
-	// Leases enables cross-replica singleflight over a shared result
-	// store: before running an engine, a worker claims a TTL'd lease on
-	// the job's cache key; if a sibling replica holds it, the worker
-	// waits for the sibling's result to appear in the store instead of
-	// recomputing. The server takes ownership and closes the manager
-	// after its drain. Nil disables the protocol (single-replica
-	// deployments).
-	Leases *store.LeaseManager
 }
 
 func (c Config) withDefaults() Config {
@@ -237,10 +228,8 @@ func (o EngineOptions) budget(observer core.Observer) core.Budget {
 // registry under one uniform budget and race them — the observer then
 // receives the portfolio-level stream (EngineStart/EngineDone plus the
 // merged verdict) while the contenders run unobserved. Single-engine
-// jobs dispatch "verifas" and "spinlike" directly (those two honour the
-// per-job ablation switches and spin_fresh) and any other registry name
-// through the registry. Injected Config.Engine overrides can delegate to
-// it to wrap the real engines.
+// jobs build the named registry engine. Injected Config.Engine
+// overrides can delegate to it to wrap the real engines.
 func BuiltinEngine(o EngineOptions, observer core.Observer) (core.Engine, error) {
 	if len(o.Engines) > 0 {
 		contenders, err := builtinRegistry.BuildAll(o.Engines, o.budget(nil))
@@ -249,28 +238,11 @@ func BuiltinEngine(o EngineOptions, observer core.Observer) (core.Engine, error)
 		}
 		return core.PortfolioEngine(contenders, false, observer), nil
 	}
-	switch o.Engine {
-	case EngineVerifas:
-		return core.Verifas(core.Options{
-			Budget:                   o.budget(observer),
-			NoStatePruning:           o.NoStatePruning,
-			NoStaticAnalysis:         o.NoStaticAnalysis,
-			NoIndexes:                o.NoIndexes,
-			IgnoreSets:               o.IgnoreSets,
-			SkipRepeatedReachability: o.SkipRepeatedReachability,
-		}), nil
-	case EngineSpinlike:
-		return spinlike.Engine(spinlike.Options{
-			Budget:       o.budget(observer),
-			FreshPerSort: o.SpinFresh,
-		}), nil
-	default:
-		eng, err := builtinRegistry.Build(o.Engine, o.budget(observer))
-		if err != nil {
-			return nil, fmt.Errorf("service: %w", err)
-		}
-		return eng, nil
+	eng, err := builtinRegistry.Build(o.Engine, o.budget(observer))
+	if err != nil {
+		return nil, fmt.Errorf("service: %w", err)
 	}
+	return eng, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -427,7 +399,9 @@ func (s *Server) worker() {
 	}
 }
 
-// runExecution drives one engine run to a terminal state.
+// runExecution drives one engine run to a terminal state. The outcome
+// is counted before finishExecution publishes it, so a client that has
+// seen the verdict also sees it in the metrics.
 func (s *Server) runExecution(e *execution) {
 	// Fast path for runs canceled while queued (client cancel or drain):
 	// skip the engine entirely.
@@ -440,124 +414,28 @@ func (s *Server) runExecution(e *execution) {
 	e.state = StateRunning
 	s.mu.Unlock()
 
-	res, stored, err := s.execute(e)
+	s.met.engineRuns.Add(1)
+	res, err := e.run.Verify(e.ctx, e.res.sys, e.res.prop)
 	switch {
 	case err == nil && res != nil:
 		// Put is cheap on the job's completion path: the memory tier
 		// inserts synchronously (so a follow-up submission of the same
 		// key hits), while a tiered store hands the disk write to its
-		// background writer. The lease path stores before releasing its
-		// lease, so waiters never observe release-without-result.
-		if !stored {
-			s.store.Put(e.key, res)
-		}
+		// background writer.
+		s.store.Put(e.key, res)
+		s.met.completed.Add(1)
 		s.finishExecution(e, StateDone, res, nil)
 		// The verdict event already reached the hub through the
-		// observer (or was synthesized for a fleet-coalesced result); it
-		// is the stream's terminal record.
+		// observer; it is the stream's terminal record.
 		e.hub.close()
-		s.met.completed.Add(1)
 	case e.ctx.Err() != nil:
 		s.finishExecution(e, StateCanceled, nil, err)
 		e.hub.terminalCanceled()
 	default:
+		s.met.failed.Add(1)
 		s.finishExecution(e, StateFailed, nil, err)
 		e.hub.terminalError(err.Error())
-		s.met.failed.Add(1)
 	}
-}
-
-// execute produces the run's result: directly through the engine, or —
-// when a fleet lease manager is configured — through the cross-replica
-// singleflight protocol. stored reports that the result is already in
-// the shared store (the lease owner writes it before releasing).
-func (s *Server) execute(e *execution) (res *core.Result, stored bool, err error) {
-	lm := s.cfg.Leases
-	if lm == nil {
-		s.met.engineRuns.Add(1)
-		res, err = e.run.Verify(e.ctx, e.res.sys, e.res.prop)
-		return res, false, err
-	}
-	// Bound the wait behind a live foreign lease by this job's own
-	// wall-clock budget: if the sibling replica renews but computes
-	// longer than we would wait for our own engine, fall back to running
-	// locally — correct, at worst duplicated work.
-	waitBound := e.res.eopts.Timeout()
-	if waitBound <= 0 {
-		waitBound = 2 * lm.TTL()
-	}
-	deadline := time.Now().Add(waitBound)
-	poll := lm.TTL() / 10
-	if poll < 5*time.Millisecond {
-		poll = 5 * time.Millisecond
-	}
-	if poll > 250*time.Millisecond {
-		poll = 250 * time.Millisecond
-	}
-	waited := false
-	for {
-		// A sibling replica may have completed this key while the job
-		// queued or waited: serve its result instead of recomputing.
-		if got, _, ok := s.store.Get(e.key); ok {
-			s.met.leaseCoalesced.Add(1)
-			e.hub.terminalCachedVerdict(got)
-			return got, true, nil
-		}
-		lease, _ := lm.TryAcquire(e.key)
-		if lease != nil {
-			if lease.Takeover() {
-				s.met.leaseTakeovers.Add(1)
-			}
-			stopRenew := renewLease(lease, lm.TTL(), e.ctx.Done())
-			s.met.engineRuns.Add(1)
-			res, err = e.run.Verify(e.ctx, e.res.sys, e.res.prop)
-			if err == nil && res != nil {
-				// Result first, release second: a waiter that sees the
-				// lease vanish must find the result.
-				s.store.Put(e.key, res)
-				stored = true
-			}
-			stopRenew()
-			lease.Release()
-			return res, stored, err
-		}
-		if !waited {
-			waited = true
-			s.met.leaseWaits.Add(1)
-			lm.CountWait()
-		}
-		if time.Now().After(deadline) {
-			s.met.engineRuns.Add(1)
-			res, err = e.run.Verify(e.ctx, e.res.sys, e.res.prop)
-			return res, false, err
-		}
-		select {
-		case <-e.ctx.Done():
-			return nil, false, e.ctx.Err()
-		case <-time.After(poll):
-		}
-	}
-}
-
-// renewLease keeps a held lease fresh (renewing at a third of the TTL)
-// until the returned stop function is called or done closes.
-func renewLease(l *store.Lease, ttl time.Duration, done <-chan struct{}) (stop func()) {
-	stopCh := make(chan struct{})
-	go func() {
-		t := time.NewTicker(ttl / 3)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				_ = l.Renew()
-			case <-stopCh:
-				return
-			case <-done:
-				return
-			}
-		}
-	}()
-	return func() { close(stopCh) }
 }
 
 // finishExecution publishes the run's terminal state.
@@ -606,13 +484,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	case <-done:
 		// Every run has finished, so no more Puts are coming: flush and
 		// close the result store (a tiered store drains its pending disk
-		// writes here, making every verdict durable before exit), then
-		// stop the lease sweeper. Held leases from this replica are all
-		// released (every run finished); a crash would leave them to
-		// expire by TTL instead.
-		if s.cfg.Leases != nil {
-			_ = s.cfg.Leases.Close()
-		}
+		// writes here, making every verdict durable before exit).
 		return s.store.Close()
 	case <-ctx.Done():
 		return ctx.Err()

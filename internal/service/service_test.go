@@ -557,6 +557,29 @@ func TestSpinlikeEngine(t *testing.T) {
 	}
 }
 
+// TestEveryEngineName: each registered engine name, the paper's
+// ablations included, verifies through the daemon under its own key.
+func TestEveryEngineName(t *testing.T) {
+	_, cl := newTestServer(t, service.Config{Workers: 1})
+	ctx := context.Background()
+	keys := map[string]string{}
+	for _, name := range service.EngineNames() {
+		req := buggyShipStocked()
+		req.Options = &service.RequestOptions{Engine: name, MaxStates: 200000}
+		res, err := cl.Verify(ctx, req)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.State != service.StateDone || res.Verdict == "" || res.Engine != name {
+			t.Fatalf("%s: job = %+v", name, res)
+		}
+		if other, ok := keys[res.Key]; ok {
+			t.Errorf("engines %s and %s share a cache key", other, name)
+		}
+		keys[res.Key] = name
+	}
+}
+
 // TestCacheKeyCanonicalization: formatting differences and spelled-out
 // defaults do not defeat the cache; semantic differences do.
 func TestCacheKeyCanonicalization(t *testing.T) {
@@ -593,15 +616,16 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 		t.Fatal("explicit default engine missed the cache")
 	}
 
-	// A semantic option change is a different key.
+	// A semantic option change is a different key: an ablation is
+	// selected by its engine name.
 	st3, err := cl.Submit(ctx, &service.SubmitRequest{
 		Spec: spec, Property: "ship_only_in_stock",
-		Options: &service.RequestOptions{NoStatePruning: true},
+		Options: &service.RequestOptions{Engine: "verifas-nosp"},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st3.Cached || st3.Key == base.Key {
-		t.Fatal("no_sp=true collided with the default-options key")
+		t.Fatal("engine verifas-nosp collided with the default-options key")
 	}
 }
