@@ -37,7 +37,7 @@ bench:
 
 # Fast subset of the hot-path micro-benchmarks: the Karp-Miller
 # exploration on the vector domain and the symbolic successor function,
-# plus the machine-readable memory, portfolio and store records.
+# plus the machine-readable memory and portfolio records.
 bench-quick:
 	$(GO) test -run xxx -bench 'Explore' -benchmem -benchtime 2x ./internal/vass/
 	$(GO) test -run xxx -bench 'TaskSystemSuccessors|PSIEdgeSet' -benchmem -benchtime 0.5s ./internal/symbolic/
@@ -45,8 +45,6 @@ bench-quick:
 	@echo "wrote BENCH_memory.json"
 	BENCH_PORTFOLIO_JSON=$(CURDIR)/BENCH_portfolio.json $(GO) test -run TestWritePortfolioBenchJSON -v ./internal/benchmark/
 	@echo "wrote BENCH_portfolio.json"
-	BENCH_STORE_JSON=$(CURDIR)/BENCH_store.json $(GO) test -run TestWriteStoreBenchJSON -v ./internal/store/
-	@echo "wrote BENCH_store.json"
 
 # One 30-second run of the verifier benchmark (the bench/ module, see
 # bench/README.md): builds the daemons and the benchmark into

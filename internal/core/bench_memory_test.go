@@ -127,7 +127,7 @@ type memoryBenchRecord struct {
 	// state, holding the full exploration trees.
 	BytesPerStateInterned float64 `json:"bytes_per_state_interned"`
 	BytesPerStateNoIntern float64 `json:"bytes_per_state_nointern"`
-	// ImprovementX = nointern / interned (the PR's ≥2x criterion).
+	// ImprovementX = nointern / interned.
 	ImprovementX float64 `json:"improvement_x"`
 	PeakHeapMB   float64 `json:"peak_heap_mb"`
 	// Budget demonstrates graceful degradation: a Verify run under

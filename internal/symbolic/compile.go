@@ -32,7 +32,6 @@ type CompiledCond struct {
 // list means the condition is unsatisfiable in tau.
 func (c *CompiledCond) Extend(tau *Pisotype) []*Pisotype {
 	var out []*Pisotype
-	seen := map[uint64][]*Pisotype{}
 conjuncts:
 	for _, conj := range c.Conjuncts {
 		t := tau.Clone()
@@ -48,17 +47,15 @@ conjuncts:
 			}
 		}
 		h := t.Hash()
-		dup := false
-		for _, prev := range seen[h] {
-			if prev.Equal(t) {
-				dup = true
-				break
+		for _, prev := range out {
+			if prev.Hash() == h && prev.Equal(t) {
+				continue conjuncts
 			}
 		}
-		if !dup {
-			seen[h] = append(seen[h], t)
-			out = append(out, t)
+		if out == nil {
+			out = make([]*Pisotype, 0, len(c.Conjuncts))
 		}
+		out = append(out, t)
 	}
 	return out
 }
@@ -134,8 +131,9 @@ type compiledService struct {
 	name      string
 	ref       ServiceRef
 	pre, post *CompiledCond
-	// propRoots are the roots preserved across the transition (ȳ).
-	propRoots map[ExprID]bool
+	// propRoots marks, by expression, the roots preserved across the
+	// transition (ȳ).
+	propRoots []bool
 	upd       updateKind
 	relIdx    int
 	// insertPairs map variable roots to slot roots (z̄ → S);
@@ -147,9 +145,9 @@ type compiledChild struct {
 	name    string
 	bit     uint32
 	openPre *CompiledCond
-	// returnedRoots are the parent variables havocked when the child
-	// closes.
-	returnedRoots map[ExprID]bool
+	// returnedRoots marks, by expression, the parent variables havocked
+	// when the child closes.
+	returnedRoots []bool
 }
 
 // Options configure the compiled transition system.
@@ -358,7 +356,7 @@ func CompileTask(sys *has.System, task *has.Task, prop PropertyBinding, opts Opt
 	// Update pairs and propagation sets.
 	for i, svc := range task.Services {
 		cs := &ts.services[i]
-		cs.propRoots = map[ExprID]bool{}
+		cs.propRoots = make([]bool, ts.U.NumExprs())
 		for _, y := range svc.Propagate {
 			root, ok := ts.U.Root(y)
 			if !ok {
@@ -386,7 +384,7 @@ func CompileTask(sys *has.System, task *has.Task, prop PropertyBinding, opts Opt
 	}
 	for i, child := range task.Children {
 		cc := &ts.children[i]
-		cc.returnedRoots = map[ExprID]bool{}
+		cc.returnedRoots = make([]bool, ts.U.NumExprs())
 		for _, pv := range child.ReturnedParentVars() {
 			root, ok := ts.U.Root(pv)
 			if !ok {

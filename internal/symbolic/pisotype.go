@@ -28,28 +28,26 @@ type EdgeFilter interface {
 // are implicitly distinct from null since database attributes are never
 // null).
 //
-// The =-classes are kept in a union-find; ≠-edges are kept as an adjacency
-// set between class representatives. Mutating operations return false on
-// inconsistency, after which the type must be discarded.
+// The =-classes are kept in a union-find; ≠-edges are kept between class
+// representatives. The representation is flat and pointer-free below the
+// header: a clone is three slice copies (the union-find array together
+// with the member lists, the class records, and the ≠-pairs), and the
+// garbage collector scans none of them. Mutating operations return false
+// on inconsistency, after which the type must be discarded.
 type Pisotype struct {
 	u      *Universe
 	filter EdgeFilter
 
+	// parent is the union-find array. It is the head of mem, whose tail
+	// holds the member lists of the multi-member classes (see cut).
 	parent []ExprID
-	// members lists the expressions of multi-member classes, keyed by
-	// representative. Singleton classes are implicit.
-	members map[ExprID][]ExprID
-	// neq is the ≠-adjacency between class representatives.
-	neq map[ExprID]map[ExprID]bool
-	// constOf maps a representative to the constant-like member (EConst
-	// or ENull) of its class, if any.
-	constOf map[ExprID]ExprID
-	// delegate maps a representative to an ID-sorted member (whose
-	// navigation children stand for the whole class's), if any.
-	delegate map[ExprID]ExprID
-	// hasNav maps a representative to whether the class contains an ENav
-	// member (navigation expressions denote database values, never null).
-	hasNav map[ExprID]bool
+	mem    []ExprID
+	// classes records the multi-member classes, sorted by representative.
+	// Singleton classes are implicit.
+	classes []class
+	// neq is the ≠-adjacency between class representatives: each related
+	// pair once, as encodeEdge(a, b, true), sorted ascending.
+	neq []uint64
 
 	canon []uint64 // cached canonical closed edge set
 	hash  uint64
@@ -59,22 +57,52 @@ type Pisotype struct {
 	owner *Interner
 }
 
+// class is one multi-member =-class. constOf, delegate and hasNav hold
+// what the class's merges recorded (see AddEq), which the representative
+// alone may already imply; SizeBytes charges each recorded field, so they
+// are kept as recorded.
+type class struct {
+	rep ExprID
+	// off and n locate the members in the type's mem, in merge order:
+	// the winning class's members, then the losing class's. Projections
+	// replay this order, which fixes their representatives.
+	off, n int32
+	// constOf is the constant-like member (EConst or ENull), or NoExpr.
+	constOf ExprID
+	// delegate is an ID-sorted member (whose navigation children stand
+	// for the whole class's), or NoExpr.
+	delegate ExprID
+	// hasNav records an ENav member (navigation expressions denote
+	// database values, never null).
+	hasNav bool
+}
+
+// typeSlack is the spare room, in expressions, that a type's mem keeps
+// for the member lists of the merges that follow its creation or clone.
+const typeSlack = 16
+
 // NewPisotype returns the unconstrained type over the universe.
 func NewPisotype(u *Universe, filter EdgeFilter) *Pisotype {
-	t := &Pisotype{
-		u:        u,
-		filter:   filter,
-		parent:   make([]ExprID, len(u.Exprs)),
-		members:  map[ExprID][]ExprID{},
-		neq:      map[ExprID]map[ExprID]bool{},
-		constOf:  map[ExprID]ExprID{},
-		delegate: map[ExprID]ExprID{},
-		hasNav:   map[ExprID]bool{},
+	return newPisotype(u, filter, nil)
+}
+
+// newPisotype returns the unconstrained type over the universe, sized to
+// receive the constraints of like: room for as many members and class
+// records as like has (nil for none).
+func newPisotype(u *Universe, filter EdgeFilter, like *Pisotype) *Pisotype {
+	n, members := len(u.Exprs), 0
+	var classes []class
+	if like != nil && len(like.classes) > 0 {
+		for i := range like.classes {
+			members += int(like.classes[i].n)
+		}
+		classes = make([]class, 0, len(like.classes))
 	}
-	for i := range t.parent {
-		t.parent[i] = ExprID(i)
+	mem := make([]ExprID, n, n+members+typeSlack)
+	for i := range mem {
+		mem[i] = ExprID(i)
 	}
-	return t
+	return &Pisotype{u: u, filter: filter, parent: mem[:n:n], mem: mem, classes: classes}
 }
 
 // Universe returns the type's universe.
@@ -83,37 +111,49 @@ func (t *Pisotype) Universe() *Universe { return t.u }
 // Clone returns an independent copy.
 func (t *Pisotype) Clone() *Pisotype {
 	c := &Pisotype{
-		u:        t.u,
-		filter:   t.filter,
-		parent:   append([]ExprID(nil), t.parent...),
-		members:  make(map[ExprID][]ExprID, len(t.members)),
-		neq:      make(map[ExprID]map[ExprID]bool, len(t.neq)),
-		constOf:  make(map[ExprID]ExprID, len(t.constOf)),
-		delegate: make(map[ExprID]ExprID, len(t.delegate)),
-		hasNav:   make(map[ExprID]bool, len(t.hasNav)),
-		canon:    t.canon,
-		hash:     t.hash,
+		u:       t.u,
+		filter:  t.filter,
+		classes: slices.Clone(t.classes),
+		neq:     slices.Clone(t.neq),
+		canon:   t.canon,
+		hash:    t.hash,
 	}
-	for k, v := range t.members {
-		c.members[k] = append([]ExprID(nil), v...)
-	}
-	for k, v := range t.neq {
-		m := make(map[ExprID]bool, len(v))
-		for kk := range v {
-			m[kk] = true
-		}
-		c.neq[k] = m
-	}
-	for k, v := range t.constOf {
-		c.constOf[k] = v
-	}
-	for k, v := range t.delegate {
-		c.delegate[k] = v
-	}
-	for k, v := range t.hasNav {
-		c.hasNav[k] = v
-	}
+	c.compact(t, 0)
 	return c
+}
+
+// compact copies src's union-find array and live member lists into a
+// fresh mem for t, with room for extra more members plus typeSlack;
+// t.classes must hold src's records. Member lists that merges replaced
+// are left behind.
+func (t *Pisotype) compact(src *Pisotype, extra int) {
+	n, live := len(src.parent), 0
+	for i := range t.classes {
+		live += int(t.classes[i].n)
+	}
+	mem := make([]ExprID, n, n+live+extra+typeSlack)
+	copy(mem, src.parent)
+	for i := range t.classes {
+		c := &t.classes[i]
+		off := len(mem)
+		mem = append(mem, src.mem[c.off:c.off+c.n]...)
+		c.off = int32(off)
+	}
+	t.parent, t.mem = mem[:n:n], mem
+}
+
+// cut reserves k slots at the end of mem for a new member list and
+// returns their offset. The filled slots of a list are never written
+// again: a merge writes the merged list anew, or extends the winner's
+// list in place when it is the last one in mem.
+func (t *Pisotype) cut(k int) int32 {
+	if cap(t.mem)-len(t.mem) < k {
+		// Room for as many members again as the lists so far hold.
+		t.compact(t, len(t.mem)-len(t.parent)+k)
+	}
+	off := len(t.mem)
+	t.mem = t.mem[:off+k]
+	return int32(off)
 }
 
 func (t *Pisotype) find(e ExprID) ExprID {
@@ -127,16 +167,39 @@ func (t *Pisotype) find(e ExprID) ExprID {
 	return root
 }
 
-func (t *Pisotype) membersOf(rep ExprID) []ExprID {
-	if m, ok := t.members[rep]; ok {
-		return m
+// classIndex returns the index of rep's record in t.classes, or -1 when
+// rep's class is a singleton.
+func (t *Pisotype) classIndex(rep ExprID) int {
+	for i := range t.classes {
+		if r := t.classes[i].rep; r >= rep {
+			if r == rep {
+				return i
+			}
+			break
+		}
 	}
-	return []ExprID{rep}
+	return -1
 }
 
-func (t *Pisotype) classConst(rep ExprID) (ExprID, bool) {
-	if c, ok := t.constOf[rep]; ok {
-		return c, true
+// membersAt returns the members of rep's class, whose record is at index
+// i (-1 for a singleton). A singleton's list is its own union-find slot,
+// so the call allocates nothing; the result is valid until the type is
+// next mutated.
+func (t *Pisotype) membersAt(rep ExprID, i int) []ExprID {
+	if i < 0 {
+		return t.parent[rep : rep+1 : rep+1]
+	}
+	c := &t.classes[i]
+	return t.mem[c.off : c.off+c.n : c.off+c.n]
+}
+
+func (t *Pisotype) membersOf(rep ExprID) []ExprID { return t.membersAt(rep, t.classIndex(rep)) }
+
+// constAt returns the constant-like member of rep's class (record index
+// i, -1 for a singleton), if any.
+func (t *Pisotype) constAt(rep ExprID, i int) (ExprID, bool) {
+	if i >= 0 && t.classes[i].constOf != NoExpr {
+		return t.classes[i].constOf, true
 	}
 	if t.u.IsConstLike(rep) {
 		return rep, true
@@ -144,9 +207,11 @@ func (t *Pisotype) classConst(rep ExprID) (ExprID, bool) {
 	return NoExpr, false
 }
 
-func (t *Pisotype) classDelegate(rep ExprID) (ExprID, bool) {
-	if d, ok := t.delegate[rep]; ok {
-		return d, true
+// delegateAt returns the delegate of rep's class (record index i, -1 for
+// a singleton), if any.
+func (t *Pisotype) delegateAt(rep ExprID, i int) (ExprID, bool) {
+	if i >= 0 && t.classes[i].delegate != NoExpr {
+		return t.classes[i].delegate, true
 	}
 	if t.u.Exprs[rep].Type.IsID() {
 		return rep, true
@@ -154,21 +219,21 @@ func (t *Pisotype) classDelegate(rep ExprID) (ExprID, bool) {
 	return NoExpr, false
 }
 
-func (t *Pisotype) classHasNav(rep ExprID) bool {
-	if t.hasNav[rep] {
+func (t *Pisotype) hasNavAt(rep ExprID, i int) bool {
+	if i >= 0 && t.classes[i].hasNav {
 		return true
 	}
 	return t.u.Exprs[rep].Kind == ENav
 }
 
-// classSort returns the ID/value sort of the class (from any non-null
-// member), or ok=false when the class contains null — in that case every
-// member IS null and sorts are irrelevant.
-func (t *Pisotype) classSort(rep ExprID) (has.VarType, bool) {
-	if c, ok := t.classConst(rep); ok && t.u.Exprs[c].Kind == ENull {
+// sortAt returns the ID/value sort of rep's class (record index i) from
+// any non-null member, or ok=false when the class contains null — in
+// that case every member IS null and sorts are irrelevant.
+func (t *Pisotype) sortAt(rep ExprID, i int) (has.VarType, bool) {
+	if c, ok := t.constAt(rep, i); ok && t.u.Exprs[c].Kind == ENull {
 		return has.VarType{}, false
 	}
-	for _, m := range t.membersOf(rep) {
+	for _, m := range t.membersAt(rep, i) {
 		switch t.u.Exprs[m].Kind {
 		case ENull:
 		default:
@@ -188,22 +253,24 @@ func (t *Pisotype) Neq(a, b ExprID) bool {
 	if fa == fb {
 		return false
 	}
-	if t.neq[fa][fb] {
+	if t.neqReps(fa, fb) {
 		return true
 	}
-	return t.implicitNeq(fa, fb)
+	return t.implicitNeq(fa, t.classIndex(fa), fb, t.classIndex(fb))
 }
 
-func (t *Pisotype) implicitNeq(fa, fb ExprID) bool {
-	ca, oka := t.classConst(fa)
-	cb, okb := t.classConst(fb)
+// implicitNeq reports the disequalities between two classes (records at
+// ia and ib) that their constants and navigation members force.
+func (t *Pisotype) implicitNeq(fa ExprID, ia int, fb ExprID, ib int) bool {
+	ca, oka := t.constAt(fa, ia)
+	cb, okb := t.constAt(fb, ib)
 	if oka && okb && ca != cb {
 		return true
 	}
-	if oka && t.u.Exprs[ca].Kind == ENull && t.classHasNav(fb) {
+	if oka && t.u.Exprs[ca].Kind == ENull && t.hasNavAt(fb, ib) {
 		return true
 	}
-	if okb && t.u.Exprs[cb].Kind == ENull && t.classHasNav(fa) {
+	if okb && t.u.Exprs[cb].Kind == ENull && t.hasNavAt(fa, ia) {
 		return true
 	}
 	return false
@@ -217,13 +284,14 @@ func (t *Pisotype) AddEq(a, b ExprID) bool {
 	if fa == fb {
 		return true
 	}
-	if t.neq[fa][fb] || t.implicitNeq(fa, fb) {
+	ia, ib := t.classIndex(fa), t.classIndex(fb)
+	if t.neqReps(fa, fb) || t.implicitNeq(fa, ia, fb, ib) {
 		return false
 	}
 	// Sort compatibility: distinct sorts have disjoint domains except for
 	// null, so equating them forces both sides to null.
-	sa, oka := t.classSort(fa)
-	sb, okb := t.classSort(fb)
+	sa, oka := t.sortAt(fa, ia)
+	sb, okb := t.sortAt(fb, ib)
 	if oka && okb && sa != sb {
 		if !t.AddEq(a, t.u.NullExpr) {
 			return false
@@ -241,8 +309,8 @@ func (t *Pisotype) AddEq(a, b ExprID) bool {
 		// Non-violating edge: do not record, but derived child edges may
 		// still matter and are filtered independently. Classes containing
 		// null have no rows to navigate: skip propagation.
-		da, oka := t.classDelegate(fa)
-		db, okb := t.classDelegate(fb)
+		da, oka := t.delegateAt(fa, ia)
+		db, okb := t.delegateAt(fb, ib)
 		if oka && okb && t.u.Exprs[da].Type == t.u.Exprs[db].Type {
 			for i := range t.u.NavAll(da) {
 				ca, cb := t.u.Nav(da, i), t.u.Nav(db, i)
@@ -256,46 +324,63 @@ func (t *Pisotype) AddEq(a, b ExprID) bool {
 	t.canon = nil
 
 	// Merge smaller class into larger.
-	if len(t.membersOf(fa)) < len(t.membersOf(fb)) {
-		fa, fb = fb, fa
+	if len(t.membersAt(fa, ia)) < len(t.membersAt(fb, ib)) {
+		fa, fb, ia, ib = fb, fa, ib, ia
 	}
-	win, lose := fa, fb
+	win, lose, iw, il := fa, fb, ia, ib
 
 	// Collect pre-merge delegates for congruence.
-	dw, okw := t.classDelegate(win)
-	dl, okl := t.classDelegate(lose)
+	dw, okw := t.delegateAt(win, iw)
+	dl, okl := t.delegateAt(lose, il)
 
-	mw := t.membersOf(win)
-	ml := t.membersOf(lose)
-	merged := make([]ExprID, 0, len(mw)+len(ml))
-	merged = append(merged, mw...)
-	merged = append(merged, ml...)
-	t.members[win] = merged
-	delete(t.members, lose)
-	t.parent[lose] = win
-
-	if c, ok := t.classConst(lose); ok {
-		t.constOf[win] = c
+	rec := class{rep: win, constOf: NoExpr, delegate: NoExpr}
+	if iw >= 0 {
+		rec = t.classes[iw]
 	}
-	delete(t.constOf, lose)
+	if c, ok := t.constAt(lose, il); ok {
+		rec.constOf = c
+	}
 	if okl && !okw {
-		t.delegate[win] = dl
+		rec.delegate = dl
 	} else if okw {
-		t.delegate[win] = dw
+		rec.delegate = dw
 	}
-	delete(t.delegate, lose)
+	mw, ml := t.membersAt(win, iw), t.membersAt(lose, il)
 	if t.classHasNavRaw(ml) {
-		t.hasNav[win] = true
+		rec.hasNav = true
 	}
-	delete(t.hasNav, lose)
+	if iw >= 0 && int(rec.off+rec.n) == len(t.mem) && cap(t.mem)-len(t.mem) >= len(ml) {
+		// The winner's list is the last in mem: extend it in place.
+		t.mem = append(t.mem, ml...)
+	} else {
+		// cut may move mem; mw and ml keep pointing at the old one,
+		// whose filled slots stay as they are.
+		rec.off = t.cut(len(mw) + len(ml))
+		copy(t.mem[rec.off:], mw)
+		copy(t.mem[int(rec.off)+len(mw):], ml)
+	}
+	rec.n = int32(len(mw) + len(ml))
+	t.parent[lose] = win
+	t.setClass(rec, il)
 
-	// Rewrite ≠-adjacency of the losing representative.
-	if adj, ok := t.neq[lose]; ok {
-		for other := range adj {
-			delete(t.neq[other], lose)
-			t.addNeqReps(win, other)
+	// Rewrite the ≠-pairs of the losing representative.
+	moved := false
+	for i, e := range t.neq {
+		x, y := edgeEnds(e)
+		switch lose {
+		case x:
+			x = win
+		case y:
+			y = win
+		default:
+			continue
 		}
-		delete(t.neq, lose)
+		t.neq[i] = encodeEdge(x, y, true)
+		moved = true
+	}
+	if moved {
+		slices.Sort(t.neq)
+		t.neq = slices.Compact(t.neq)
 	}
 
 	// Congruence: link the navigation children of the two delegates —
@@ -315,9 +400,38 @@ func (t *Pisotype) AddEq(a, b ExprID) bool {
 	return true
 }
 
+// setClass stores rec as the record of its representative, replacing an
+// existing record or inserting one in representative order, and drops
+// the merged-away record at index lose (-1 for a singleton).
+func (t *Pisotype) setClass(rec class, lose int) {
+	if lose >= 0 {
+		t.classes = slices.Delete(t.classes, lose, lose+1)
+	}
+	i := 0
+	for i < len(t.classes) && t.classes[i].rep < rec.rep {
+		i++
+	}
+	if i < len(t.classes) && t.classes[i].rep == rec.rep {
+		t.classes[i] = rec
+		return
+	}
+	t.classes = slices.Insert(roomForOne(t.classes), i, rec)
+}
+
+// roomForOne returns s with capacity for one more element, doubling it
+// (to at least 8) when full: append's growth from zero would reallocate
+// at 1, 2, 4 and 8 elements, and a synth-wide type has 5 to 8
+// multi-member classes.
+func roomForOne[E any](s []E) []E {
+	if len(s) < cap(s) {
+		return s
+	}
+	return slices.Grow(s, max(len(s), 8))
+}
+
 // classHasNull reports whether the class contains the null constant.
 func (t *Pisotype) classHasNull(rep ExprID) bool {
-	c, ok := t.classConst(rep)
+	c, ok := t.constAt(rep, t.classIndex(rep))
 	return ok && t.u.Exprs[c].Kind == ENull
 }
 
@@ -330,15 +444,17 @@ func (t *Pisotype) classHasNavRaw(members []ExprID) bool {
 	return false
 }
 
+// neqReps reports an explicit ≠-edge between two representatives.
+func (t *Pisotype) neqReps(a, b ExprID) bool {
+	_, ok := slices.BinarySearch(t.neq, encodeEdge(a, b, true))
+	return ok
+}
+
 func (t *Pisotype) addNeqReps(a, b ExprID) {
-	if t.neq[a] == nil {
-		t.neq[a] = map[ExprID]bool{}
+	e := encodeEdge(a, b, true)
+	if i, ok := slices.BinarySearch(t.neq, e); !ok {
+		t.neq = slices.Insert(roomForOne(t.neq), i, e)
 	}
-	if t.neq[b] == nil {
-		t.neq[b] = map[ExprID]bool{}
-	}
-	t.neq[a][b] = true
-	t.neq[b][a] = true
 }
 
 // AddNeq asserts a ≠ b. It returns false when inconsistent (a and b are
@@ -355,7 +471,7 @@ func (t *Pisotype) AddNeq(a, b ExprID) bool {
 	if t.intrinsicNeq(a, b) {
 		return true
 	}
-	if t.neq[fa][fb] {
+	if t.neqReps(fa, fb) {
 		return true
 	}
 	if t.filter != nil && t.filter.SkipNeq(a, b) {
@@ -383,24 +499,25 @@ func (t *Pisotype) intrinsicNeq(a, b ExprID) bool {
 	return false
 }
 
-// constrainedClasses returns the representatives of classes carrying
-// information: multi-member classes and classes with explicit ≠-edges.
-func (t *Pisotype) constrainedClasses() []ExprID {
-	set := map[ExprID]bool{}
-	for rep := range t.members {
-		set[rep] = true
+// constrainedClasses appends to buf the representatives of classes
+// carrying information — multi-member classes and classes with explicit
+// ≠-edges — in ascending order.
+func (t *Pisotype) constrainedClasses(buf []ExprID) []ExprID {
+	for i := range t.classes {
+		buf = append(buf, t.classes[i].rep)
 	}
-	for rep, adj := range t.neq {
-		if len(adj) > 0 {
-			set[rep] = true
-		}
+	return t.neqEnds(buf)
+}
+
+// neqEnds appends to buf the representatives with explicit ≠-edges and
+// returns buf sorted and without duplicates.
+func (t *Pisotype) neqEnds(buf []ExprID) []ExprID {
+	for _, e := range t.neq {
+		a, b := edgeEnds(e)
+		buf = append(buf, a, b)
 	}
-	out := make([]ExprID, 0, len(set))
-	for rep := range set {
-		out = append(out, rep)
-	}
-	slices.Sort(out)
-	return out
+	slices.Sort(buf)
+	return slices.Compact(buf)
 }
 
 const edgeNeqBit = 1
@@ -416,6 +533,11 @@ func encodeEdge(a, b ExprID, neq bool) uint64 {
 	return v
 }
 
+// edgeEnds decodes the endpoints of an encoded edge, smaller first.
+func edgeEnds(e uint64) (ExprID, ExprID) {
+	return ExprID(e >> 33), ExprID(uint32(e) >> 1)
+}
+
 // Edges returns the canonical closed edge set: every pair within a
 // multi-member class as an =-edge and every cross pair of explicitly
 // ≠-related classes as a ≠-edge, sorted ascending. The result is cached
@@ -424,41 +546,36 @@ func (t *Pisotype) Edges() []uint64 {
 	if t.canon != nil {
 		return t.canon
 	}
-	var out []uint64
-	for _, ms := range t.members {
-		sorted := append([]ExprID(nil), ms...)
-		slices.Sort(sorted)
-		for i := 0; i < len(sorted); i++ {
-			for j := i + 1; j < len(sorted); j++ {
-				out = append(out, encodeEdge(sorted[i], sorted[j], false))
+	n := 0
+	for i := range t.classes {
+		m := int(t.classes[i].n)
+		n += m * (m - 1) / 2
+	}
+	for _, e := range t.neq {
+		a, b := edgeEnds(e)
+		n += len(t.membersOf(a)) * len(t.membersOf(b))
+	}
+	// Never nil, even when empty: the nil sentinel would make every
+	// Edges call recompute and re-write canon/hash, racing once the type
+	// is interned and shared.
+	out := make([]uint64, 0, n)
+	for i := range t.classes {
+		ms := t.membersAt(t.classes[i].rep, i)
+		for j, a := range ms {
+			for _, b := range ms[j+1:] {
+				out = append(out, encodeEdge(a, b, false))
 			}
 		}
 	}
-	seen := map[uint64]bool{}
-	for ra, adj := range t.neq {
-		for rb := range adj {
-			if rb < ra {
-				continue
-			}
-			code := encodeEdge(ra, rb, true)
-			if seen[code] {
-				continue
-			}
-			seen[code] = true
-			for _, a := range t.membersOf(ra) {
-				for _, b := range t.membersOf(rb) {
-					out = append(out, encodeEdge(a, b, true))
-				}
+	for _, e := range t.neq {
+		ra, rb := edgeEnds(e)
+		for _, a := range t.membersOf(ra) {
+			for _, b := range t.membersOf(rb) {
+				out = append(out, encodeEdge(a, b, true))
 			}
 		}
 	}
 	slices.Sort(out)
-	if out == nil {
-		// A constraint-free type still needs a non-nil cache: the nil
-		// sentinel would make every Edges call recompute and re-write
-		// canon/hash, racing once the type is interned and shared.
-		out = []uint64{}
-	}
 	t.canon = out
 	t.hash = hashEdges(out)
 	return out
@@ -535,7 +652,7 @@ type RootPair struct {
 // induce equalities between their images. Returns nil if the result is
 // inconsistent (cannot happen for well-typed transports; defensive).
 func (t *Pisotype) TransportProject(pairs []RootPair) *Pisotype {
-	out := NewPisotype(t.u, t.filter)
+	out := newPisotype(t.u, t.filter, t)
 	// Repeated source roots carry the same value into several targets:
 	// make the targets (and hence, by congruence, their navigations)
 	// equal even when the source is otherwise unconstrained.
@@ -548,25 +665,35 @@ func (t *Pisotype) TransportProject(pairs []RootPair) *Pisotype {
 			}
 		}
 	}
-	images := func(e ExprID) []ExprID {
-		if t.u.IsConstLike(e) {
-			return []ExprID{e}
-		}
-		root := t.u.RootOf(e)
-		var out []ExprID
-		for _, p := range pairs {
-			if p.From == root {
-				if img := t.u.Transport(e, p.From, p.To); img != NoExpr {
-					out = append(out, img)
-				}
-			}
-		}
-		return out
-	}
-	if !t.copyConstraints(out, images) {
+	if !t.copyConstraints(out, t.u.transportImages(pairs)) {
 		return nil
 	}
 	return out
+}
+
+// imageFunc appends the images of an expression under a constraint copy
+// to buf and returns it: zero or more target expressions, which become
+// mutually equal.
+type imageFunc func(e ExprID, buf []ExprID) []ExprID
+
+// transportImages maps an expression rooted at a pair's From root to the
+// same path under the pair's To root, once per matching pair; constants
+// map to themselves.
+func (u *Universe) transportImages(pairs []RootPair) imageFunc {
+	return func(e ExprID, buf []ExprID) []ExprID {
+		if u.IsConstLike(e) {
+			return append(buf, e)
+		}
+		root := u.RootOf(e)
+		for _, p := range pairs {
+			if p.From == root {
+				if img := u.Transport(e, p.From, p.To); img != NoExpr {
+					buf = append(buf, img)
+				}
+			}
+		}
+		return buf
+	}
 }
 
 // Project keeps only the constraints among expressions whose root
@@ -574,15 +701,12 @@ func (t *Pisotype) TransportProject(pairs []RootPair) *Pisotype {
 // congruence-derived constraints among kept expressions survive, because
 // they are queried from the closure rather than copied edge-by-edge.
 func (t *Pisotype) Project(keep func(root ExprID) bool) *Pisotype {
-	out := NewPisotype(t.u, t.filter)
-	images := func(e ExprID) []ExprID {
-		if t.u.IsConstLike(e) {
-			return []ExprID{e}
+	out := newPisotype(t.u, t.filter, t)
+	images := func(e ExprID, buf []ExprID) []ExprID {
+		if t.u.IsConstLike(e) || keep(t.u.RootOf(e)) {
+			return append(buf, e)
 		}
-		if keep(t.u.RootOf(e)) {
-			return []ExprID{e}
-		}
-		return nil
+		return buf
 	}
 	if !t.copyConstraints(out, images) {
 		// Projection of a consistent type is consistent; reaching here
@@ -592,14 +716,15 @@ func (t *Pisotype) Project(keep func(root ExprID) bool) *Pisotype {
 	return out
 }
 
-// copyConstraints rebuilds t's constraints in dst under an image mapping
-// (each expression maps to zero or more target expressions; multiple
-// images become mutually equal).
-func (t *Pisotype) copyConstraints(dst *Pisotype, images func(ExprID) []ExprID) bool {
-	for _, rep := range t.constrainedClasses() {
+// copyConstraints rebuilds t's constraints in dst under an image mapping.
+func (t *Pisotype) copyConstraints(dst *Pisotype, images imageFunc) bool {
+	var stack [32]ExprID
+	imgs := make([]ExprID, 0, 4)
+	for _, rep := range t.constrainedClasses(stack[:0]) {
 		var prev ExprID = NoExpr
 		for _, m := range t.membersOf(rep) {
-			for _, img := range images(m) {
+			imgs = images(m, imgs[:0])
+			for _, img := range imgs {
 				if prev != NoExpr {
 					if !dst.AddEq(prev, img) {
 						return false
@@ -611,32 +736,23 @@ func (t *Pisotype) copyConstraints(dst *Pisotype, images func(ExprID) []ExprID) 
 	}
 	// ≠ edges: one representative image per side suffices, since all
 	// images of one class are now equal in dst.
-	seen := map[uint64]bool{}
-	for ra, adj := range t.neq {
-		for rb := range adj {
-			if rb < ra {
-				continue
-			}
-			code := encodeEdge(ra, rb, true)
-			if seen[code] {
-				continue
-			}
-			seen[code] = true
-			a := t.firstImage(ra, images)
-			b := t.firstImage(rb, images)
-			if a != NoExpr && b != NoExpr {
-				if !dst.AddNeq(a, b) {
-					return false
-				}
+	for _, e := range t.neq {
+		ra, rb := edgeEnds(e)
+		a, b := t.firstImage(ra, images, imgs), t.firstImage(rb, images, imgs)
+		if a != NoExpr && b != NoExpr {
+			if !dst.AddNeq(a, b) {
+				return false
 			}
 		}
 	}
 	return true
 }
 
-func (t *Pisotype) firstImage(rep ExprID, images func(ExprID) []ExprID) ExprID {
+// firstImage returns the first image of the class of rep, or NoExpr;
+// buf is scratch space for images.
+func (t *Pisotype) firstImage(rep ExprID, images imageFunc, buf []ExprID) ExprID {
 	for _, m := range t.membersOf(rep) {
-		if imgs := images(m); len(imgs) > 0 {
+		if imgs := images(m, buf[:0]); len(imgs) > 0 {
 			return imgs[0]
 		}
 	}
@@ -648,29 +764,14 @@ func (t *Pisotype) firstImage(rep ExprID, images func(ExprID) []ExprID) ExprID {
 // tuple type back into task variables). Returns false on inconsistency.
 func (t *Pisotype) MergeTransported(src *Pisotype, pairs []RootPair) bool {
 	t.canon = nil
-	images := func(e ExprID) []ExprID {
-		if src.u.IsConstLike(e) {
-			return []ExprID{e}
-		}
-		root := src.u.RootOf(e)
-		var out []ExprID
-		for _, p := range pairs {
-			if p.From == root {
-				if img := src.u.Transport(e, p.From, p.To); img != NoExpr {
-					out = append(out, img)
-				}
-			}
-		}
-		return out
-	}
-	return src.copyConstraints(t, images)
+	return src.copyConstraints(t, src.u.transportImages(pairs))
 }
 
 // MergeFrom adds all constraints of src (same universe) into t. Returns
 // false on inconsistency.
 func (t *Pisotype) MergeFrom(src *Pisotype) bool {
 	t.canon = nil
-	identity := func(e ExprID) []ExprID { return []ExprID{e} }
+	identity := func(e ExprID, buf []ExprID) []ExprID { return append(buf, e) }
 	return src.copyConstraints(t, identity)
 }
 
@@ -679,21 +780,32 @@ func (t *Pisotype) MergeFrom(src *Pisotype) bool {
 func (t *Pisotype) NumConstraints() int { return len(t.Edges()) }
 
 // SizeBytes deterministically estimates the retained heap size of the
-// type: struct header, union-find array, constraint maps, and the sealed
-// canonical edge set. It is an accounting estimate for the memory-budget
-// machinery (deliberately ignoring allocator rounding and map bucket
-// internals), not a precise measurement — what matters is that it is a
-// pure function of the type's contents, so budget cutoffs are
-// reproducible across runs.
+// type: struct header, union-find array, constraint records, and the
+// sealed canonical edge set. It is an accounting estimate for the
+// memory-budget machinery, not a precise measurement — what matters is
+// that it is a pure function of the type's contents and merge history,
+// so budget cutoffs are reproducible across runs. Its per-part charges
+// are fixed figures, kept stable so that a budget trips at the same
+// state from one version to the next.
 func (t *Pisotype) SizeBytes() int {
 	sz := 160 + 4*len(t.parent) // struct + slice headers + parent array
-	for _, ms := range t.members {
-		sz += 48 + 4*len(ms)
+	for i := range t.classes {
+		c := &t.classes[i]
+		sz += 48 + 4*int(c.n)
+		if c.constOf != NoExpr {
+			sz += 16
+		}
+		if c.delegate != NoExpr {
+			sz += 16
+		}
+		if c.hasNav {
+			sz += 16
+		}
 	}
-	for _, adj := range t.neq {
-		sz += 48 + 16*len(adj)
-	}
-	sz += 16 * (len(t.constOf) + len(t.delegate) + len(t.hasNav))
+	// Per ≠-related representative: an adjacency header, plus one entry
+	// on each side of every pair.
+	var stack [32]ExprID
+	sz += 48*len(t.neqEnds(stack[:0])) + 32*len(t.neq)
 	sz += 8 * len(t.Edges())
 	return sz
 }
@@ -701,33 +813,22 @@ func (t *Pisotype) SizeBytes() int {
 // String renders the constraints for diagnostics.
 func (t *Pisotype) String() string {
 	var parts []string
-	for _, rep := range t.constrainedClasses() {
-		ms := t.membersOf(rep)
-		if len(ms) > 1 {
-			names := make([]string, len(ms))
-			for i, m := range ms {
-				names[i] = t.u.ExprString(m)
-			}
-			sort.Strings(names)
-			parts = append(parts, strings.Join(names, "="))
+	for i := range t.classes {
+		ms := t.membersAt(t.classes[i].rep, i)
+		names := make([]string, len(ms))
+		for j, m := range ms {
+			names[j] = t.u.ExprString(m)
 		}
+		sort.Strings(names)
+		parts = append(parts, strings.Join(names, "="))
 	}
-	seen := map[uint64]bool{}
-	for ra, adj := range t.neq {
-		for rb := range adj {
-			code := encodeEdge(ra, rb, true)
-			if seen[code] {
-				continue
-			}
-			seen[code] = true
-			// Map iteration meets each pair from either side: order the
-			// sides so the rendering is the same on every call.
-			x, y := t.u.ExprString(ra), t.u.ExprString(rb)
-			if y < x {
-				x, y = y, x
-			}
-			parts = append(parts, x+"!="+y)
+	for _, e := range t.neq {
+		a, b := edgeEnds(e)
+		x, y := t.u.ExprString(a), t.u.ExprString(b)
+		if y < x {
+			x, y = y, x
 		}
+		parts = append(parts, x+"!="+y)
 	}
 	sort.Strings(parts)
 	return "{" + strings.Join(parts, ", ") + "}"

@@ -11,15 +11,15 @@ import (
 // state, so the benchmark exercises Successors on states with populated
 // constraints and bags rather than only the trivial initial PSI. With
 // interner set the system interns its types and memoizes successor types.
-func benchStates(b *testing.B, interner bool) (*TaskSystem, []*PSI) {
-	b.Helper()
+func benchStates(tb testing.TB, interner bool) (*TaskSystem, []*PSI) {
+	tb.Helper()
 	sys := workflows.OrderFulfillment(false)
 	if err := sys.Validate(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	ts, err := CompileTask(sys, sys.Root, PropertyBinding{}, Options{})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if interner {
 		ts.SetInterner(NewInterner())
@@ -63,6 +63,31 @@ func BenchmarkTaskSystemSuccessors(b *testing.B) {
 				ts.Successors(states[i%len(states)])
 			}
 		})
+	}
+}
+
+// successorsAllocs is the recorded allocations per plain Successors call
+// over the benchStates pool (go1.24, linux/amd64). The map-based pisotype
+// it replaced made 189.
+const successorsAllocs = 57
+
+// TestSuccessorsAllocGuard fails when plain (un-interned) Successors, the
+// successor-type memo's miss path, allocates more than 10% above
+// successorsAllocs per call, averaged over the benchStates pool.
+func TestSuccessorsAllocGuard(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	ts, states := benchStates(t, false)
+	perPool := testing.AllocsPerRun(20, func() {
+		for _, p := range states {
+			ts.Successors(p)
+		}
+	})
+	got := perPool / float64(len(states))
+	t.Logf("plain Successors: %.1f allocs/call over %d states (recorded %d)", got, len(states), successorsAllocs)
+	if got > 1.10*successorsAllocs {
+		t.Errorf("plain Successors allocates %.1f times per call, more than 10%% above the recorded %d", got, successorsAllocs)
 	}
 }
 

@@ -89,7 +89,8 @@ type Universe struct {
 
 	constByName map[string]ExprID
 	rootByName  map[string]ExprID
-	rootClass   map[ExprID]RootClass
+	// rootClass is indexed by expression (StateRoot for non-roots).
+	rootClass []RootClass
 }
 
 // UniverseBuilder accumulates the roots and constants of a universe.
@@ -144,12 +145,12 @@ func (b *UniverseBuilder) Build() *Universe {
 		Schema:      b.schema,
 		constByName: map[string]ExprID{},
 		rootByName:  map[string]ExprID{},
-		rootClass:   map[ExprID]RootClass{},
 	}
 	add := func(e Expr) ExprID {
 		e.ID = ExprID(len(u.Exprs))
 		u.Exprs = append(u.Exprs, e)
 		u.nav = append(u.nav, nil)
+		u.rootClass = append(u.rootClass, StateRoot)
 		return e.ID
 	}
 	u.NullExpr = add(Expr{Kind: ENull, Name: "null"})
