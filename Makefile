@@ -40,7 +40,7 @@ bench:
 # plus the machine-readable memory and portfolio records.
 bench-quick:
 	$(GO) test -run xxx -bench 'Explore' -benchmem -benchtime 2x ./internal/vass/
-	$(GO) test -run xxx -bench 'TaskSystemSuccessors|PSIEdgeSet' -benchmem -benchtime 0.5s ./internal/symbolic/
+	$(GO) test -run xxx -bench 'TaskSystemSuccessors|SynthWideSuccessors|PSIEdgeSet' -benchmem -benchtime 0.5s ./internal/symbolic/
 	BENCH_MEMORY_JSON=$(CURDIR)/BENCH_memory.json $(GO) test -run TestWriteMemoryBenchJSON -v ./internal/core/
 	@echo "wrote BENCH_memory.json"
 	BENCH_PORTFOLIO_JSON=$(CURDIR)/BENCH_portfolio.json $(GO) test -run TestWritePortfolioBenchJSON -v ./internal/benchmark/

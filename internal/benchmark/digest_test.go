@@ -26,17 +26,9 @@ func digestSuites(t *testing.T) []struct {
 	maxStates int
 } {
 	t.Helper()
-	byName := map[string]*Spec{}
-	for _, s := range SyntheticSuite(11, 1) {
-		byName[s.Name] = s
-	}
-	var wide []*Spec
-	for _, n := range []string{"synth-03", "synth-04", "synth-09", "synth-10"} {
-		s, ok := byName[n]
-		if !ok {
-			t.Fatalf("synthetic suite has no %s", n)
-		}
-		wide = append(wide, s)
+	wide, err := SynthWide()
+	if err != nil {
+		t.Fatal(err)
 	}
 	return []struct {
 		specs     []*Spec

@@ -75,6 +75,30 @@ func SyntheticSuite(n int, seed int64) []*Spec {
 	return out
 }
 
+// synthWideNames are the specifications of the benchmark's synth-wide
+// workload (bench/workloads.go): the tier-3 and tier-4 outputs of
+// SyntheticSuite(11, 1), two of each tier, the widest pisotypes the
+// generator makes whose searches stay within seconds.
+var synthWideNames = []string{"synth-03", "synth-04", "synth-09", "synth-10"}
+
+// SynthWide returns the specifications of the synth-wide workload, in
+// synthWideNames order, or an error naming one the generator dropped.
+func SynthWide() ([]*Spec, error) {
+	byName := map[string]*Spec{}
+	for _, s := range SyntheticSuite(11, 1) {
+		byName[s.Name] = s
+	}
+	out := make([]*Spec, 0, len(synthWideNames))
+	for _, n := range synthWideNames {
+		s, ok := byName[n]
+		if !ok {
+			return nil, fmt.Errorf("synthetic suite has no %s", n)
+		}
+		out = append(out, s)
+	}
+	return out, nil
+}
+
 // Config bounds the benchmark runs. The paper used a 10-minute timeout
 // and 8 GB; this container scales the budget down (relative behaviour is
 // preserved — see DESIGN.md).

@@ -83,26 +83,12 @@ const typeSlack = 16
 
 // NewPisotype returns the unconstrained type over the universe.
 func NewPisotype(u *Universe, filter EdgeFilter) *Pisotype {
-	return newPisotype(u, filter, nil)
-}
-
-// newPisotype returns the unconstrained type over the universe, sized to
-// receive the constraints of like: room for as many members and class
-// records as like has (nil for none).
-func newPisotype(u *Universe, filter EdgeFilter, like *Pisotype) *Pisotype {
-	n, members := len(u.Exprs), 0
-	var classes []class
-	if like != nil && len(like.classes) > 0 {
-		for i := range like.classes {
-			members += int(like.classes[i].n)
-		}
-		classes = make([]class, 0, len(like.classes))
-	}
-	mem := make([]ExprID, n, n+members+typeSlack)
+	n := len(u.Exprs)
+	mem := make([]ExprID, n, n+typeSlack)
 	for i := range mem {
 		mem[i] = ExprID(i)
 	}
-	return &Pisotype{u: u, filter: filter, parent: mem[:n:n], mem: mem, classes: classes}
+	return &Pisotype{u: u, filter: filter, parent: mem[:n:n], mem: mem}
 }
 
 // Universe returns the type's universe.
@@ -144,8 +130,7 @@ func (t *Pisotype) compact(src *Pisotype, extra int) {
 
 // cut reserves k slots at the end of mem for a new member list and
 // returns their offset. The filled slots of a list are never written
-// again: a merge writes the merged list anew, or extends the winner's
-// list in place when it is the last one in mem.
+// again: a merge writes the merged list anew.
 func (t *Pisotype) cut(k int) int32 {
 	if cap(t.mem)-len(t.mem) < k {
 		// Room for as many members again as the lists so far hold.
@@ -349,16 +334,11 @@ func (t *Pisotype) AddEq(a, b ExprID) bool {
 	if t.classHasNavRaw(ml) {
 		rec.hasNav = true
 	}
-	if iw >= 0 && int(rec.off+rec.n) == len(t.mem) && cap(t.mem)-len(t.mem) >= len(ml) {
-		// The winner's list is the last in mem: extend it in place.
-		t.mem = append(t.mem, ml...)
-	} else {
-		// cut may move mem; mw and ml keep pointing at the old one,
-		// whose filled slots stay as they are.
-		rec.off = t.cut(len(mw) + len(ml))
-		copy(t.mem[rec.off:], mw)
-		copy(t.mem[int(rec.off)+len(mw):], ml)
-	}
+	// cut may move mem; mw and ml keep pointing at the old one, whose
+	// filled slots stay as they are.
+	rec.off = t.cut(len(mw) + len(ml))
+	copy(t.mem[rec.off:], mw)
+	copy(t.mem[int(rec.off)+len(mw):], ml)
 	rec.n = int32(len(mw) + len(ml))
 	t.parent[lose] = win
 	t.setClass(rec, il)
@@ -415,18 +395,7 @@ func (t *Pisotype) setClass(rec class, lose int) {
 		t.classes[i] = rec
 		return
 	}
-	t.classes = slices.Insert(roomForOne(t.classes), i, rec)
-}
-
-// roomForOne returns s with capacity for one more element, doubling it
-// (to at least 8) when full: append's growth from zero would reallocate
-// at 1, 2, 4 and 8 elements, and a synth-wide type has 5 to 8
-// multi-member classes.
-func roomForOne[E any](s []E) []E {
-	if len(s) < cap(s) {
-		return s
-	}
-	return slices.Grow(s, max(len(s), 8))
+	t.classes = slices.Insert(t.classes, i, rec)
 }
 
 // classHasNull reports whether the class contains the null constant.
@@ -453,7 +422,7 @@ func (t *Pisotype) neqReps(a, b ExprID) bool {
 func (t *Pisotype) addNeqReps(a, b ExprID) {
 	e := encodeEdge(a, b, true)
 	if i, ok := slices.BinarySearch(t.neq, e); !ok {
-		t.neq = slices.Insert(roomForOne(t.neq), i, e)
+		t.neq = slices.Insert(t.neq, i, e)
 	}
 }
 
@@ -652,7 +621,7 @@ type RootPair struct {
 // induce equalities between their images. Returns nil if the result is
 // inconsistent (cannot happen for well-typed transports; defensive).
 func (t *Pisotype) TransportProject(pairs []RootPair) *Pisotype {
-	out := newPisotype(t.u, t.filter, t)
+	out := NewPisotype(t.u, t.filter)
 	// Repeated source roots carry the same value into several targets:
 	// make the targets (and hence, by congruence, their navigations)
 	// equal even when the source is otherwise unconstrained.
@@ -701,7 +670,7 @@ func (u *Universe) transportImages(pairs []RootPair) imageFunc {
 // congruence-derived constraints among kept expressions survive, because
 // they are queried from the closure rather than copied edge-by-edge.
 func (t *Pisotype) Project(keep func(root ExprID) bool) *Pisotype {
-	out := newPisotype(t.u, t.filter, t)
+	out := NewPisotype(t.u, t.filter)
 	images := func(e ExprID, buf []ExprID) []ExprID {
 		if t.u.IsConstLike(e) || keep(t.u.RootOf(e)) {
 			return append(buf, e)

@@ -16,12 +16,11 @@ import (
 func BenchmarkSynthWideSuccessors(b *testing.B) {
 	var systems []*symbolic.TaskSystem
 	var pools [][]*symbolic.PSI
-	for _, s := range benchmark.SyntheticSuite(11, 1) {
-		switch s.Name {
-		case "synth-03", "synth-04", "synth-09", "synth-10":
-		default:
-			continue
-		}
+	specs, err := benchmark.SynthWide()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, s := range specs {
 		ts, err := symbolic.CompileTask(s.Sys, s.Sys.Root, symbolic.PropertyBinding{}, symbolic.Options{})
 		if err != nil {
 			b.Fatal(err)
