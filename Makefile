@@ -36,10 +36,12 @@ bench:
 	$(GO) test -bench=. -benchmem
 
 # Fast subset of the hot-path micro-benchmarks: the Karp-Miller
-# exploration on the vector domain and the symbolic successor function,
-# plus the machine-readable memory and portfolio records.
+# exploration on the vector domain, the symbolic successor function and
+# the heaviest real-suite verifications, plus the machine-readable memory
+# and portfolio records.
 bench-quick:
 	$(GO) test -run xxx -bench 'Explore' -benchmem -benchtime 2x ./internal/vass/
+	$(GO) test -run xxx -bench 'VerifyRealSuite' -benchmem -benchtime 1x ./internal/benchmark/
 	$(GO) test -run xxx -bench 'TaskSystemSuccessors|SynthWideSuccessors|PSIEdgeSet' -benchmem -benchtime 0.5s ./internal/symbolic/
 	BENCH_MEMORY_JSON=$(CURDIR)/BENCH_memory.json $(GO) test -run TestWriteMemoryBenchJSON -v ./internal/core/
 	@echo "wrote BENCH_memory.json"

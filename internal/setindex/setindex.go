@@ -15,16 +15,24 @@ const MaxIndexed = 48
 // and superset queries. Ids must be assigned densely (0, 1, 2, ...): the
 // hit counters of the subset query are epoch-stamped dense arrays, which
 // keeps the hot path free of map operations.
+//
+// An entry can be retired from the subset side (see Retire); the trie
+// behind the superset query keeps every entry.
 type Index struct {
-	inv     map[uint64][]int32 // element -> ids of sets containing it
-	size    []int32            // id -> set cardinality
-	empties []int32            // ids of empty sets
+	inv     map[uint64]int32 // element -> position in lists
+	lists   [][]int32        // ids of the sets containing an element
+	size    []int32          // id -> set cardinality, or retired
+	empties []int32          // ids of empty sets
 	trie    *tnode
 
 	counts []int32
 	stamps []uint32
 	epoch  uint32
 }
+
+// retired marks a retired id in Index.size. The subset query drops such
+// ids from each list it walks.
+const retired = -1
 
 type tnode struct {
 	label    uint64
@@ -35,7 +43,7 @@ type tnode struct {
 // New returns an empty index.
 func New() *Index {
 	return &Index{
-		inv:  map[uint64][]int32{},
+		inv:  map[uint64]int32{},
 		trie: &tnode{},
 	}
 }
@@ -59,7 +67,13 @@ func (x *Index) Insert(id int, set []uint64) {
 		x.empties = append(x.empties, id32)
 	}
 	for _, e := range indexed {
-		x.inv[e] = append(x.inv[e], id32)
+		li, ok := x.inv[e]
+		if !ok {
+			li = int32(len(x.lists))
+			x.inv[e] = li
+			x.lists = append(x.lists, nil)
+		}
+		x.lists[li] = append(x.lists[li], id32)
 	}
 	n := x.trie
 	for _, e := range set {
@@ -92,9 +106,17 @@ func (n *tnode) child(label uint64, create bool) *tnode {
 	return c
 }
 
+// Retire removes the set stored under id from the subset side: Subsets
+// and SubsetsSeq never yield it again, while Supersets and SupersetsSeq
+// still do. Retiring costs O(1); each inverted list drops its retired ids
+// the next time a subset query walks it. Len is unchanged.
+func (x *Index) Retire(id int) {
+	x.size[id] = retired
+}
+
 // Subsets returns the ids of stored sets whose indexed prefix is a subset
 // of q (q sorted) — a superset of the true subset ids when sets exceed
-// MaxIndexed; exact otherwise.
+// MaxIndexed; exact otherwise. Retired ids are left out.
 func (x *Index) Subsets(q []uint64) []int {
 	var out []int
 	x.SubsetsSeq(q, func(id int) bool {
@@ -105,68 +127,124 @@ func (x *Index) Subsets(q []uint64) []int {
 }
 
 // SubsetsSeq streams subset candidates to yield in discovery order; yield
-// returning false stops the query early (used by existence checks).
+// returning false stops the query early (used by existence checks). yield
+// must not modify the index.
 func (x *Index) SubsetsSeq(q []uint64, yield func(id int) bool) {
 	x.epoch++
-	for _, id := range x.empties {
-		if !yield(int(id)) {
+	if x.epoch == 0 {
+		// After 2^32 queries a stamp could equal the epoch again and
+		// resume a stale count; start the stamps over instead.
+		clear(x.stamps)
+		x.epoch = 1
+	}
+	if !x.walk(&x.empties, false, yield) {
+		return
+	}
+	for _, e := range q {
+		if li, ok := x.inv[e]; ok && !x.walk(&x.lists[li], true, yield) {
 			return
 		}
 	}
-	for _, e := range q {
-		for _, id := range x.inv[e] {
+}
+
+// walk streams the live ids of one list to yield, counting a hit for each
+// when count is set and yielding only ids whose count reaches their set
+// size; without count every live id is yielded. Retired ids are compacted
+// out of the list in place, also when yield stops the walk, so a list
+// pays for a retired id once. It reports whether yield asked to go on.
+func (x *Index) walk(list *[]int32, count bool, yield func(id int) bool) bool {
+	l := *list
+	w := 0
+	for r, id := range l {
+		size := x.size[id]
+		if size == retired {
+			continue
+		}
+		l[w] = id
+		w++
+		if count {
 			if x.stamps[id] != x.epoch {
 				x.stamps[id] = x.epoch
 				x.counts[id] = 1
 			} else {
 				x.counts[id]++
 			}
-			if x.counts[id] == x.size[id] {
-				if !yield(int(id)) {
-					return
-				}
+			if x.counts[id] != size {
+				continue
 			}
 		}
+		if !yield(int(id)) {
+			if w <= r {
+				*list = l[:w+copy(l[w:], l[r+1:])]
+			}
+			return false
+		}
 	}
+	if w < len(l) {
+		*list = l[:w]
+	}
+	return true
 }
 
 // Supersets returns the ids of stored sets that are supersets of q
 // (q sorted). Queries longer than MaxIndexed are truncated, making the
 // result an over-approximation (callers re-verify).
 func (x *Index) Supersets(q []uint64) []int {
-	if len(q) > MaxIndexed {
-		q = q[:MaxIndexed]
-	}
 	var out []int
-	var dfs func(n *tnode, i int)
-	dfs = func(n *tnode, i int) {
-		if i == len(q) {
-			collect(n, &out)
-			return
-		}
-		target := q[i]
-		for _, c := range n.children {
-			switch {
-			case c.label < target:
-				dfs(c, i) // skip an extra element of the stored set
-			case c.label == target:
-				dfs(c, i+1)
-			default:
-				return // children sorted; nothing further can match
-			}
-		}
-	}
-	dfs(x.trie, 0)
+	x.SupersetsSeq(q, func(id int) bool {
+		out = append(out, id)
+		return true
+	})
 	return out
 }
 
-func collect(n *tnode, out *[]int) {
-	for _, id := range n.ids {
-		*out = append(*out, int(id))
+// SupersetsSeq streams the ids Supersets returns, in the same order, to
+// yield; yield returning false stops the query early.
+func (x *Index) SupersetsSeq(q []uint64, yield func(id int) bool) {
+	if len(q) > MaxIndexed {
+		q = q[:MaxIndexed]
+	}
+	supersets(x.trie, q, yield)
+}
+
+// supersets yields the ids stored in n's subtree whose path, continuing
+// below n, contains every element of q. It reports whether yield asked to
+// go on.
+func supersets(n *tnode, q []uint64, yield func(id int) bool) bool {
+	if len(q) == 0 {
+		return collect(n, yield)
 	}
 	for _, c := range n.children {
-		collect(c, out)
+		switch {
+		case c.label < q[0]:
+			// Skip an extra element of the stored set.
+			if !supersets(c, q, yield) {
+				return false
+			}
+		case c.label == q[0]:
+			if !supersets(c, q[1:], yield) {
+				return false
+			}
+		default:
+			return true // children sorted; nothing further can match
+		}
 	}
+	return true
+}
+
+// collect yields every id stored in n's subtree.
+func collect(n *tnode, yield func(id int) bool) bool {
+	for _, id := range n.ids {
+		if !yield(int(id)) {
+			return false
+		}
+	}
+	for _, c := range n.children {
+		if !collect(c, yield) {
+			return false
+		}
+	}
+	return true
 }
 
 // Len returns the number of stored sets.

@@ -7,9 +7,12 @@ import "verifas/internal/setindex"
 // ids back to caller ids (tree node IDs for the exploration, positions in
 // the node slice for the coverability graph). Leq never relates states of
 // different classes, so a query touches only its own class, and a class
-// with nothing stored answers at once.
+// with nothing stored answers at once. Caller ids must be dense and
+// inserted in order (0, 1, 2, ...).
 type classIndex struct {
 	classes map[uint64]*classSets
+	// entries maps a caller id to its class and dense id there.
+	entries []classEntry
 }
 
 // classSets is the set index of one equality class.
@@ -18,23 +21,39 @@ type classSets struct {
 	ids []int
 }
 
+type classEntry struct {
+	c  *classSets
+	id int32
+}
+
 func newClassIndex() *classIndex {
 	return &classIndex{classes: map[uint64]*classSets{}}
 }
 
 func (x *classIndex) insert(id int, class uint64, set []uint64) {
+	if id != len(x.entries) {
+		panic("vass: class index ids must be dense and sequential")
+	}
 	c := x.classes[class]
 	if c == nil {
 		c = &classSets{idx: setindex.New()}
 		x.classes[class] = c
 	}
+	x.entries = append(x.entries, classEntry{c: c, id: int32(len(c.ids))})
 	c.idx.Insert(len(c.ids), set)
 	c.ids = append(c.ids, id)
 }
 
-// anySubset streams the ids of the class's entries whose indexed set is a
-// subset of q until pred returns true, reporting whether it did
-// (early-exit existence check).
+// retire drops id from the subset queries (anySubset); supersets still
+// returns it.
+func (x *classIndex) retire(id int) {
+	en := x.entries[id]
+	en.c.idx.Retire(int(en.id))
+}
+
+// anySubset streams the ids of the class's unretired entries whose
+// indexed set is a subset of q until pred returns true, reporting whether
+// it did (early-exit existence check).
 func (x *classIndex) anySubset(class uint64, q []uint64, pred func(id int) bool) bool {
 	c := x.classes[class]
 	if c == nil {
@@ -51,16 +70,15 @@ func (x *classIndex) anySubset(class uint64, q []uint64, pred func(id int) bool)
 	return found
 }
 
-// supersets returns the ids of the class's entries whose indexed set is a
-// superset of q.
-func (x *classIndex) supersets(class uint64, q []uint64) []int {
+// supersets streams to yield the ids of the class's entries, retired or
+// not, whose indexed set is a superset of q.
+func (x *classIndex) supersets(class uint64, q []uint64, yield func(id int)) {
 	c := x.classes[class]
 	if c == nil {
-		return nil
+		return
 	}
-	ids := c.idx.Supersets(q)
-	for i, id := range ids {
-		ids[i] = c.ids[id]
-	}
-	return ids
+	c.idx.SupersetsSeq(q, func(i int) bool {
+		yield(c.ids[i])
+		return true
+	})
 }

@@ -342,6 +342,9 @@ type explorer struct {
 	// algorithm's duplicate filter (nil with Prune, which never reads it).
 	byKey map[uint64][]*Node
 	// idx indexes every node by its ID (nil without UseIndex and Prune).
+	// Its subset side holds only the active nodes: deactivateSubtree
+	// retires each node it flips inactive. Its superset side holds every
+	// node.
 	idx  *classIndex
 	stop bool
 	// arena block-allocates the tree's nodes.
@@ -406,15 +409,17 @@ func (e *explorer) newNode(s State, label any, parent *Node) *Node {
 		// Deactivate every node m and its descendants where m.S ≤ s and
 		// m is active or m is not an ancestor of the new node. (An
 		// active ancestor is deactivated too; the new node itself is
-		// added active below, exactly as in Reynier-Servais.)
-		for _, m := range e.smallerCandidates(class, set) {
-			if !e.sys.Leq(m.S, s) {
-				continue
+		// added active below, exactly as in Reynier-Servais.) A killed
+		// subtree is skipped before Leq: deactivating it again would
+		// change nothing.
+		e.smallerCandidates(class, set, func(m *Node) {
+			if m.subtreeKilled || !e.sys.Leq(m.S, s) {
+				return
 			}
 			if m.Active || parent == nil || !m.IsAncestorOf(parent) {
 				e.deactivateSubtree(m)
 			}
-		}
+		})
 	} else {
 		// Classic algorithm: skip exact duplicates of existing nodes
 		// (the "I'' ∈ T" test of Algorithm 1).
@@ -469,6 +474,9 @@ func (e *explorer) deactivateSubtree(m *Node) {
 	if m.Active {
 		m.Active = false
 		e.tree.Pruned++
+		if e.idx != nil {
+			e.idx.retire(m.ID)
+		}
 	}
 	for cid := m.firstChild; cid >= 0; cid = e.tree.Nodes[cid].nextSibling {
 		e.deactivateSubtree(e.tree.Nodes[cid])
@@ -479,12 +487,13 @@ func (e *explorer) deactivateSubtree(m *Node) {
 // dominatedByActive reports whether an active node dominates s. With
 // indexing enabled, candidates are prefiltered to s's index class (class,
 // set) and to "indexed set of the dominator is a subset of s's" — a
-// necessary condition for s ≤ m under the System.IndexSet contract.
+// necessary condition for s ≤ m under the System.IndexSet contract — and
+// the subset side yields active nodes only, since Active never turns back
+// on once deactivateSubtree has retired a node.
 func (e *explorer) dominatedByActive(s State, class uint64, set []uint64) bool {
 	if e.idx != nil {
 		return e.idx.anySubset(class, set, func(id int) bool {
-			m := e.tree.Nodes[id]
-			return m.Active && e.sys.Leq(s, m.S)
+			return e.sys.Leq(s, e.tree.Nodes[id].S)
 		})
 	}
 	for _, n := range e.tree.Nodes {
@@ -495,18 +504,20 @@ func (e *explorer) dominatedByActive(s State, class uint64, set []uint64) bool {
 	return false
 }
 
-// smallerCandidates returns nodes that may satisfy m.S ≤ s, where (class,
-// set) is s's index class and set (superset prefilter). Inactive nodes are
-// included: the pruning rule must also deactivate descendants of
-// already-inactive dominated nodes.
-func (e *explorer) smallerCandidates(class uint64, set []uint64) []*Node {
+// smallerCandidates streams to yield the nodes that may satisfy m.S ≤ s,
+// where (class, set) is s's index class and set (superset prefilter).
+// Inactive nodes are included: the pruning rule must also deactivate
+// descendants of already-inactive dominated nodes, and a killed subtree
+// is revived when a new node is attached below it, so the trie keeps
+// every node.
+func (e *explorer) smallerCandidates(class uint64, set []uint64, yield func(m *Node)) {
 	if e.idx == nil {
-		return e.tree.Nodes
+		for _, m := range e.tree.Nodes {
+			yield(m)
+		}
+		return
 	}
-	ids := e.idx.supersets(class, set)
-	out := make([]*Node, len(ids))
-	for i, id := range ids {
-		out[i] = e.tree.Nodes[id]
-	}
-	return out
+	e.idx.supersets(class, set, func(id int) {
+		yield(e.tree.Nodes[id])
+	})
 }
