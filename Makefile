@@ -15,9 +15,10 @@ check:
 		echo "gofmt needed:"; echo "$$fmt"; exit 1; fi
 
 # Race-detector pass over the concurrent packages: the suite and job
-# pools, portfolio racing, the service, the store and the fleet.
+# pools, portfolio racing, the service, the store, the fleet and the
+# CLI's -j worker pool.
 race:
-	$(GO) test -race -short ./internal/core/... ./internal/benchmark/... ./internal/vass/... ./internal/spinlike/... ./internal/service/... ./internal/store/... ./internal/fleet/...
+	$(GO) test -race -short ./internal/core/... ./internal/benchmark/... ./internal/vass/... ./internal/spinlike/... ./internal/service/... ./internal/store/... ./internal/fleet/... ./cmd/verifas/
 
 # Fleet soak under the race detector: 3 replicas behind the router,
 # 1000 jobs over 50 keys with a mid-run replica kill+restart, asserting

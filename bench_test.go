@@ -26,7 +26,6 @@ func quickConfig() benchmark.Config {
 		Timeout:       3 * time.Second,
 		MaxStates:     200_000,
 		SpinMaxStates: 60_000,
-		SpinFresh:     2,
 		Seed:          1,
 	}
 }

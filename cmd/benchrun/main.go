@@ -106,7 +106,6 @@ func main() {
 		MaxStates:     *maxState,
 		MaxMemBytes:   memBytes,
 		SpinMaxStates: *spinMax,
-		SpinFresh:     2,
 		Seed:          *seed,
 		Workers:       *workers,
 	}

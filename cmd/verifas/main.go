@@ -6,18 +6,21 @@
 //
 // The specification file uses the textual format of internal/spec and may
 // contain any number of property blocks; by default every property is
-// verified. With -j N, up to N properties are verified concurrently
-// (cooperatively cancellable with Ctrl-C); reports are still printed in
-// specification order. -events FILE records the verification event
-// stream (phase boundaries, progress snapshots, verdicts) as JSON lines;
-// -debug-addr ADDR serves net/http/pprof and expvar for live inspection.
-// Exit status: 0 when all verified properties hold, 1 when a violation
-// was found, 2 on errors or timeouts.
+// verified. -engine names the engine (any engine registry name: "verifas",
+// its ablations such as "verifas-nosp", "spinlike", ...); -engines races
+// several per property. With -j N, up to N properties are verified
+// concurrently (cooperatively cancellable with Ctrl-C); reports are still
+// printed in specification order. -events FILE records the verification
+// event stream (phase boundaries, progress snapshots, verdicts) as JSON
+// lines; -debug-addr ADDR serves net/http/pprof and expvar for live
+// inspection. Exit status: 0 when all verified properties hold, 1 when a
+// violation was found, 2 on errors or timeouts.
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -44,79 +47,76 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
+// run is the whole command: it parses args, writes reports to stdout and
+// diagnostics to stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("verifas", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		propName  = flag.String("prop", "", "verify only the named property")
-		engine    = flag.String("engine", "verifas", "verification engine: verifas or spinlike")
-		engineCSV = flag.String("engines", "", "comma-separated engine portfolio to race per property (e.g. verifas,spinlike); the first decisive verdict wins and the losers are canceled")
-		portfolio = flag.Bool("portfolio", false, "race the default engine portfolio ("+strings.Join(engines.DefaultPortfolio, ",")+"); -engines overrides the set")
-		noSet     = flag.Bool("noset", false, "ignore artifact relations (VERIFAS-NoSet)")
-		noSP      = flag.Bool("nosp", false, "disable ⪯ state pruning")
-		noSA      = flag.Bool("nosa", false, "disable static analysis")
-		noDSS     = flag.Bool("nodss", false, "disable index data structures")
-		noRR      = flag.Bool("norr", false, "disable the repeated-reachability module")
-		timeout   = flag.Duration("timeout", 60*time.Second, "per-property timeout")
-		maxStates = flag.Int("max-states", core.DefaultMaxStates, "state budget per search phase")
-		memBudget = flag.String("mem-budget", "", "per-property memory budget (e.g. 64M, 2G; empty = unlimited); exhausting it yields a BUDGET verdict with partial stats")
-		showTrace = flag.Bool("trace", true, "print counterexample traces")
-		showStats = flag.Bool("stats", false, "print search statistics")
-		witness   = flag.Bool("witness", false, "try to realize root-task counterexample prefixes concretely on random databases")
-		workers   = flag.Int("j", 1, "verify up to N properties concurrently (output order is preserved)")
-		events    = flag.String("events", "", "write the verification event stream to FILE as JSON lines")
-		debugAddr = flag.String("debug-addr", "", "serve pprof and expvar on this address (e.g. localhost:6060)")
-		server    = flag.String("server", "", "verify remotely on a verifasd daemon at this base URL or host:port")
-		showVer   = flag.Bool("version", false, "print the build version and exit")
+		propName  = fs.String("prop", "", "verify only the named property")
+		engine    = fs.String("engine", "verifas", "verification engine, any of: "+strings.Join(engines.Names(), ", "))
+		engineCSV = fs.String("engines", "", "comma-separated engines to race per property (e.g. "+strings.Join(engines.DefaultPortfolio, ",")+"); the first decisive verdict wins and the losers are canceled; overrides -engine")
+		timeout   = fs.Duration("timeout", 60*time.Second, "per-property timeout")
+		maxStates = fs.Int("max-states", core.DefaultMaxStates, "state budget per search phase")
+		memBudget = fs.String("mem-budget", "", "per-property memory budget (e.g. 64M, 2G; empty = unlimited); exhausting it yields a BUDGET verdict with partial stats")
+		showTrace = fs.Bool("trace", true, "print counterexample traces")
+		showStats = fs.Bool("stats", false, "print search statistics")
+		witness   = fs.Bool("witness", false, "try to realize root-task counterexample prefixes concretely on random databases")
+		workers   = fs.Int("j", 1, "verify up to N properties concurrently (output order is preserved)")
+		events    = fs.String("events", "", "write the verification event stream to FILE as JSON lines")
+		debugAddr = fs.String("debug-addr", "", "serve pprof and expvar on this address (e.g. localhost:6060)")
+		server    = fs.String("server", "", "verify remotely on a verifasd daemon at this base URL or host:port")
+		showVer   = fs.Bool("version", false, "print the build version and exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	if *showVer {
-		fmt.Printf("verifas %s %s\n", version.String(), runtime.Version())
+		fmt.Fprintf(stdout, "verifas %s %s\n", version.String(), runtime.Version())
 		return 0
 	}
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: verifas [flags] SPEC.has")
-		flag.PrintDefaults()
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: verifas [flags] SPEC.has")
+		fs.PrintDefaults()
 		return 2
 	}
 	memBytes, err := memsize.Parse(*memBudget)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "error: -mem-budget:", err)
+		fmt.Fprintln(stderr, "error: -mem-budget:", err)
 		return 2
 	}
-	engineList := portfolioNames(*engineCSV, *portfolio)
-	ablation := core.Options{
-		IgnoreSets:               *noSet,
-		NoStatePruning:           *noSP,
-		NoStaticAnalysis:         *noSA,
-		NoIndexes:                *noDSS,
-		SkipRepeatedReachability: *noRR,
+	names := []string{*engine}
+	if *engineCSV != "" {
+		names = splitNames(*engineCSV)
 	}
 	budget := core.Budget{Timeout: *timeout, MaxStates: *maxStates, MaxMemBytes: memBytes}
-	var contenders []core.Engine
-	if len(engineList) > 0 && *server == "" {
-		// Contenders carry the shared budget but run unobserved; the
-		// portfolio-level observer gets the engine-start/engine-done stream.
-		contenders, err = engines.Default().BuildAll(engineList, budget)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error: -engines:", err)
+	if *server == "" {
+		// Reject unknown or repeated names before any work; the daemon
+		// checks them itself under -server.
+		if _, err := engines.Build(names, budget); err != nil {
+			fmt.Fprintln(stderr, "error:", err)
 			return 2
 		}
 	}
-	src, err := os.ReadFile(flag.Arg(0))
+	src, err := os.ReadFile(fs.Arg(0))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
+		fmt.Fprintln(stderr, "error:", err)
 		return 2
 	}
 	file, err := spec.Parse(string(src))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
+		fmt.Fprintln(stderr, "error:", err)
 		return 2
 	}
 	m, mTask, mVar := cyclo.Complexity(file.System)
 	st := file.System.Stats()
-	fmt.Printf("system %s: %d relations, %d tasks, %d variables, %d services, M(A)=%d (task %s, var %s)\n",
+	fmt.Fprintf(stdout, "system %s: %d relations, %d tasks, %d variables, %d services, M(A)=%d (task %s, var %s)\n",
 		file.System.Name, st.Relations, st.Tasks, st.Variables, st.Services, m, mTask, mVar)
 
 	props := file.Properties
@@ -128,12 +128,12 @@ func run() int {
 			}
 		}
 		if len(props) == 0 {
-			fmt.Fprintf(os.Stderr, "error: no property named %q in %s\n", *propName, flag.Arg(0))
+			fmt.Fprintf(stderr, "error: no property named %q in %s\n", *propName, fs.Arg(0))
 			return 2
 		}
 	}
 	if len(props) == 0 {
-		fmt.Println("no properties to verify")
+		fmt.Fprintln(stdout, "no properties to verify")
 		return 0
 	}
 
@@ -143,18 +143,18 @@ func run() int {
 	if *debugAddr != "" {
 		dbg, err := obs.ServeDebug(*debugAddr)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "debug server:", err)
+			fmt.Fprintln(stderr, "debug server:", err)
 			return 2
 		}
 		defer dbg.Close()
-		fmt.Fprintf(os.Stderr, "debug server on http://%s/debug/pprof/ (metrics on /debug/vars)\n", dbg.Addr)
+		fmt.Fprintf(stderr, "debug server on http://%s/debug/pprof/ (metrics on /debug/vars)\n", dbg.Addr)
 	}
 	var tw *obs.TraceWriter
 	var eventsF *os.File
 	if *events != "" {
 		f, err := os.Create(*events)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "events:", err)
+			fmt.Fprintln(stderr, "events:", err)
 			return 2
 		}
 		defer f.Close()
@@ -163,114 +163,35 @@ func run() int {
 			tw = obs.NewTraceWriter(f)
 		}
 	}
-	// observerFor attaches the event sinks to one property's run.
-	observerFor := func(prop *core.Property) core.Observer {
-		if tw == nil {
-			return nil
-		}
-		return tw.Run(prop.Name)
-	}
 
-	// verifyProp renders one property's full report; with -j > 1 the
-	// reports are produced concurrently and printed in property order.
-	verifyProp := func(prop *core.Property) (string, int) {
-		var sb strings.Builder
-		if contenders != nil {
-			return portfolioReport(ctx, file, prop, contenders, observerFor(prop), *showTrace, *showStats, *witness)
+	rf := reportFlags{showTrace: *showTrace, showStats: *showStats, witness: *witness}
+	// verify renders one property's full report; with -j > 1 the reports
+	// are produced concurrently and printed in property order.
+	verify := func(prop *core.Property) (string, int) {
+		b := budget
+		if tw != nil {
+			b.Observer = tw.Run(prop.Name)
 		}
-		switch *engine {
-		case "spinlike":
-			b := budget
-			b.Observer = observerFor(prop)
-			res, err := spinlike.Verify(ctx, file.System, &spinlike.Property{
-				Task: prop.Task, Globals: prop.Globals, Conds: prop.Conds, Formula: prop.Formula,
-			}, spinlike.Options{Budget: b})
-			if err != nil {
-				fmt.Fprintf(&sb, "%s: error: %v\n", prop.Name, err)
-				return sb.String(), 2
-			}
-			switch {
-			case res.BudgetExhausted():
-				fmt.Fprintf(&sb, "%-30s BUDGET   (%s, %d states, memory budget exhausted)\n", prop.Name, res.Stats.Elapsed.Round(time.Millisecond), res.Stats.States)
-				return sb.String(), 2
-			case res.TimedOut():
-				fmt.Fprintf(&sb, "%-30s TIMEOUT  (%s, %d states)\n", prop.Name, res.Stats.Elapsed.Round(time.Millisecond), res.Stats.States)
-				return sb.String(), 2
-			case res.Holds():
-				fmt.Fprintf(&sb, "%-30s HOLDS    (%s, %d states, bounded domain)\n", prop.Name, res.Stats.Elapsed.Round(time.Millisecond), res.Stats.States)
-				return sb.String(), 0
-			default:
-				fmt.Fprintf(&sb, "%-30s VIOLATED (%s, %d states, bounded domain)\n", prop.Name, res.Stats.Elapsed.Round(time.Millisecond), res.Stats.States)
-				return sb.String(), 1
-			}
-		default:
-			opts := ablation
-			opts.Budget = budget
-			opts.Budget.Observer = observerFor(prop)
-			res, err := core.Verify(ctx, file.System, prop, opts)
-			if err != nil {
-				fmt.Fprintf(&sb, "%s: error: %v\n", prop.Name, err)
-				return sb.String(), 2
-			}
-			code := 0
-			switch {
-			case res.BudgetExhausted():
-				fmt.Fprintf(&sb, "%-30s BUDGET   (%s, %d states, memory budget exhausted)\n", prop.Name, res.Stats.Elapsed.Round(time.Millisecond), res.Stats.StatesExplored())
-				code = 2
-			case res.TimedOut():
-				fmt.Fprintf(&sb, "%-30s TIMEOUT  (%s, %d states)\n", prop.Name, res.Stats.Elapsed.Round(time.Millisecond), res.Stats.StatesExplored())
-				code = 2
-			case res.Holds():
-				fmt.Fprintf(&sb, "%-30s HOLDS    (%s, %d states)\n", prop.Name, res.Stats.Elapsed.Round(time.Millisecond), res.Stats.StatesExplored())
-			default:
-				fmt.Fprintf(&sb, "%-30s VIOLATED (%s, %d states, %s counterexample)\n",
-					prop.Name, res.Stats.Elapsed.Round(time.Millisecond), res.Stats.StatesExplored(), res.Violation.Kind)
-				if *showTrace {
-					printTrace(&sb, res.Violation)
-				}
-				if *witness && prop.Task == file.System.Root.Name {
-					replayWitness(&sb, file.System, prefixAtoms(res.Violation))
-				}
-				code = 1
-			}
-			if *showStats {
-				fmt.Fprintf(&sb, "  büchi=%d explored=%d pruned=%d skipped=%d accel=%d\n",
-					res.Stats.BuchiStates, res.Stats.StatesExplored(), res.Stats.Pruned(),
-					res.Stats.Skipped(), res.Stats.Accelerations())
-				printPhase := func(name string, ps core.PhaseStats) {
-					if ps.States == 0 && ps.Elapsed == 0 {
-						return
-					}
-					fmt.Fprintf(&sb, "  %-8s states=%-8d pruned=%-8d skipped=%-8d accel=%-6d %s\n",
-						name, ps.States, ps.Pruned, ps.Skipped, ps.Accelerations, ps.Elapsed.Round(time.Microsecond))
-				}
-				printPhase("reach", res.Stats.Reachability)
-				printPhase("rr", res.Stats.RR)
-			}
-			return sb.String(), code
+		eng, err := engines.Build(names, b)
+		if err != nil {
+			return fmt.Sprintf("%s: error: %v\n", prop.Name, err), 2
 		}
+		res, err := eng.Verify(ctx, file.System, prop)
+		if err != nil {
+			return fmt.Sprintf("%s: error: %v\n", prop.Name, err), 2
+		}
+		return rf.local(file.System, prop, eng.Name(), res)
 	}
-
 	// With -server, the same report loop runs against a remote verifasd
 	// daemon through the service client instead of the in-process engines.
-	// The daemon selects an ablation by engine name ("verifas-nosp"); a
-	// flag combination it has not registered gets its unknown-engine 400.
-	verify := verifyProp
 	if *server != "" {
-		remoteEngine := *engine
-		if remoteEngine == "verifas" {
-			remoteEngine = core.EngineName(ablation)
-		}
-		verify = remoteVerifier(ctx, *server, string(src), file, remoteFlags{
-			engine:    remoteEngine,
-			engines:   engineList,
-			timeout:   *timeout,
-			maxStates: *maxStates,
-			memBudget: memBytes,
-			showTrace: *showTrace,
-			showStats: *showStats,
-			witness:   *witness,
-			eventsF:   eventsF,
+		verify = remoteVerifier(ctx, stderr, *server, string(src), file, remoteFlags{
+			reportFlags: rf,
+			engines:     names,
+			timeout:     *timeout,
+			maxStates:   *maxStates,
+			memBudget:   memBytes,
+			eventsF:     eventsF,
 		})
 	}
 
@@ -304,46 +225,138 @@ func run() int {
 	}
 	exit := 0
 	for i := range props {
-		fmt.Print(reports[i])
+		fmt.Fprint(stdout, reports[i])
 		exit = max(exit, codes[i])
 	}
 	if tw != nil {
 		if err := tw.Err(); err != nil {
-			fmt.Fprintln(os.Stderr, "events:", err)
+			fmt.Fprintln(stderr, "events:", err)
 			exit = max(exit, 2)
 		}
 	}
 	return exit
 }
 
+// splitNames parses a comma-separated engine list; the order is the
+// portfolio tie-break priority.
+func splitNames(csv string) []string {
+	var names []string
+	for _, n := range strings.Split(csv, ",") {
+		if n = strings.TrimSpace(n); n != "" {
+			names = append(names, n)
+		}
+	}
+	return names
+}
+
+// reportFlags are the flags that shape a property's report.
+type reportFlags struct {
+	showTrace, showStats, witness bool
+}
+
+// verdictLine writes a report's status line and returns the property's
+// exit status. note is appended inside the parentheses.
+func verdictLine(w io.Writer, prop string, v core.Verdict, elapsed string, states int, note string) int {
+	switch v {
+	case core.VerdictBudget:
+		fmt.Fprintf(w, "%-30s BUDGET   (%s, %d states, memory budget exhausted%s)\n", prop, elapsed, states, note)
+		return 2
+	case core.VerdictTimedOut:
+		fmt.Fprintf(w, "%-30s TIMEOUT  (%s, %d states%s)\n", prop, elapsed, states, note)
+		return 2
+	case core.VerdictHolds:
+		fmt.Fprintf(w, "%-30s HOLDS    (%s, %d states%s)\n", prop, elapsed, states, note)
+		return 0
+	default:
+		fmt.Fprintf(w, "%-30s VIOLATED (%s, %d states%s)\n", prop, elapsed, states, note)
+		return 1
+	}
+}
+
+// local renders the result of an in-process run of the named engine: the
+// status line, then the counterexample trace, the concrete witness and
+// the statistics as the flags ask. The spinlike engines' verdicts are
+// marked "bounded domain"; a portfolio's name its winner.
+func (rf reportFlags) local(sys *has.System, prop *core.Property, engine string, res *core.Result) (string, int) {
+	var sb strings.Builder
+	var note string
+	if v := res.Violation; v != nil && res.Verdict == core.VerdictViolated {
+		note += ", " + v.Kind + " counterexample"
+	}
+	if strings.HasPrefix(engine, spinlike.EngineName) {
+		note += ", bounded domain"
+	}
+	if p := res.Portfolio; p != nil && p.Winner != "" {
+		note += ", won by " + p.Winner
+	}
+	code := verdictLine(&sb, prop.Name, res.Verdict, res.Stats.Elapsed.Round(time.Millisecond).String(), res.Stats.StatesExplored(), note)
+	if v := res.Violation; v != nil && code == 1 {
+		if rf.showTrace {
+			printTrace(&sb, v)
+		}
+		if rf.witness && prop.Task == sys.Root.Name {
+			replayWitness(&sb, sys, prefixAtoms(v))
+		}
+	}
+	if !rf.showStats {
+		return sb.String(), code
+	}
+	if p := res.Portfolio; p != nil {
+		for _, o := range p.Engines {
+			status := o.Verdict.String()
+			switch {
+			case o.Canceled:
+				status = "canceled"
+			case o.Error != "":
+				status = "error: " + o.Error
+			}
+			mark := " "
+			if o.Winner {
+				mark = "*"
+			}
+			fmt.Fprintf(&sb, "  %s %-22s %-16s %10s  states=%d\n",
+				mark, o.Engine, status, o.Elapsed.Round(time.Millisecond), o.States)
+		}
+		return sb.String(), code
+	}
+	fmt.Fprintf(&sb, "  büchi=%d explored=%d pruned=%d skipped=%d accel=%d\n",
+		res.Stats.BuchiStates, res.Stats.StatesExplored(), res.Stats.Pruned(),
+		res.Stats.Skipped(), res.Stats.Accelerations())
+	printPhase := func(name string, ps core.PhaseStats) {
+		if ps.States == 0 && ps.Elapsed == 0 {
+			return
+		}
+		fmt.Fprintf(&sb, "  %-8s states=%-8d pruned=%-8d skipped=%-8d accel=%-6d %s\n",
+			name, ps.States, ps.Pruned, ps.Skipped, ps.Accelerations, ps.Elapsed.Round(time.Microsecond))
+	}
+	printPhase("reach", res.Stats.Reachability)
+	printPhase("rr", res.Stats.RR)
+	return sb.String(), code
+}
+
 // remoteFlags carries the CLI flags the remote mode maps onto request
 // options and report formatting.
 type remoteFlags struct {
-	engine                        string
-	engines                       []string
-	timeout                       time.Duration
-	maxStates                     int
-	memBudget                     int64
-	showTrace, showStats, witness bool
-	eventsF                       *os.File
+	reportFlags
+	engines   []string
+	timeout   time.Duration
+	maxStates int
+	memBudget int64
+	eventsF   *os.File
 }
 
 // remoteVerifier builds the per-property report function of -server mode:
 // submit to the daemon, optionally stream the run's events into the
 // -events file, then fetch the verdict. Cache hits are marked "cached" in
 // the report.
-func remoteVerifier(ctx context.Context, addr, src string, file *spec.File, rf remoteFlags) func(*core.Property) (string, int) {
+func remoteVerifier(ctx context.Context, stderr io.Writer, addr, src string, file *spec.File, rf remoteFlags) func(*core.Property) (string, int) {
 	cl := client.New(addr)
+	// The daemon reads a one-element engine list as that engine alone.
 	ropts := &service.RequestOptions{
-		Engine:    rf.engine,
+		Engines:   rf.engines,
 		TimeoutMS: rf.timeout.Milliseconds(),
 		MaxStates: rf.maxStates,
 		MemBudget: rf.memBudget,
-	}
-	if len(rf.engines) > 0 {
-		// Portfolio mode: the daemon rejects engine+engines together.
-		ropts.Engine = ""
-		ropts.Engines = rf.engines
 	}
 	var encMu sync.Mutex
 	var enc *json.Encoder
@@ -363,12 +376,16 @@ func remoteVerifier(ctx context.Context, addr, src string, file *spec.File, rf r
 				defer encMu.Unlock()
 				return enc.Encode(ev)
 			}); err != nil {
-				fmt.Fprintln(os.Stderr, "events:", err)
+				fmt.Fprintln(stderr, "events:", err)
 			}
 		}
 		res, err := cl.Result(ctx, st.ID, true)
 		if err != nil {
 			fmt.Fprintf(&sb, "%s: error: %v\n", prop.Name, err)
+			return sb.String(), 2
+		}
+		if res.State == service.StateFailed || res.State == service.StateCanceled {
+			fmt.Fprintf(&sb, "%s: error: %s\n", prop.Name, res.Error)
 			return sb.String(), 2
 		}
 		cached := ""
@@ -386,49 +403,34 @@ func remoteVerifier(ctx context.Context, addr, src string, file *spec.File, rf r
 			elapsed = res.Stats.Elapsed.Round(time.Millisecond).String()
 			states = res.Stats.StatesExplored()
 		}
-		code := 0
-		switch {
-		case res.State == service.StateFailed || res.State == service.StateCanceled:
-			fmt.Fprintf(&sb, "%s: error: %s\n", prop.Name, res.Error)
-			return sb.String(), 2
-		case res.Verdict == core.VerdictBudget.String():
-			fmt.Fprintf(&sb, "%-30s BUDGET   (%s, %d states, memory budget exhausted%s)\n", prop.Name, elapsed, states, cached)
-			code = 2
-		case res.Verdict == core.VerdictTimedOut.String():
-			fmt.Fprintf(&sb, "%-30s TIMEOUT  (%s, %d states%s)\n", prop.Name, elapsed, states, cached)
-			code = 2
-		case res.Verdict == core.VerdictHolds.String():
-			fmt.Fprintf(&sb, "%-30s HOLDS    (%s, %d states%s)\n", prop.Name, elapsed, states, cached)
-		default:
-			kind := ""
-			if res.Violation != nil {
-				kind = res.Violation.Kind + " "
-			}
-			fmt.Fprintf(&sb, "%-30s VIOLATED (%s, %d states, %scounterexample%s)\n",
-				prop.Name, elapsed, states, kind, cached)
-			if res.Violation != nil {
-				if rf.showTrace {
-					for i, step := range res.Violation.Prefix {
-						fmt.Fprintf(&sb, "    %2d. %-28s %s\n", i, step.Service, step.State)
-					}
-					if len(res.Violation.Cycle) > 0 {
-						fmt.Fprintln(&sb, "    -- repeat forever:")
-						for _, step := range res.Violation.Cycle {
-							fmt.Fprintf(&sb, "        %s\n", step.Service)
-						}
+		var verdict core.Verdict
+		_ = verdict.UnmarshalText([]byte(res.Verdict)) // an unrecognized verdict renders as VIOLATED
+		note := cached
+		if res.Violation != nil && verdict == core.VerdictViolated {
+			note = ", " + res.Violation.Kind + " counterexample" + cached
+		}
+		code := verdictLine(&sb, prop.Name, verdict, elapsed, states, note)
+		if res.Violation != nil && code == 1 {
+			if rf.showTrace {
+				for i, step := range res.Violation.Prefix {
+					fmt.Fprintf(&sb, "    %2d. %-28s %s\n", i, step.Service, step.State)
+				}
+				if len(res.Violation.Cycle) > 0 {
+					fmt.Fprintln(&sb, "    -- repeat forever:")
+					for _, step := range res.Violation.Cycle {
+						fmt.Fprintf(&sb, "        %s\n", step.Service)
 					}
 				}
-				if rf.witness && prop.Task == file.System.Root.Name {
-					var atoms []string
-					for i, step := range res.Violation.Prefix {
-						if i > 0 {
-							atoms = append(atoms, step.Service)
-						}
-					}
-					replayWitness(&sb, file.System, atoms)
-				}
 			}
-			code = 1
+			if rf.witness && prop.Task == file.System.Root.Name {
+				var atoms []string
+				for i, step := range res.Violation.Prefix {
+					if i > 0 {
+						atoms = append(atoms, step.Service)
+					}
+				}
+				replayWitness(&sb, file.System, atoms)
+			}
 		}
 		if rf.showStats && res.Stats != nil {
 			fmt.Fprintf(&sb, "  büchi=%d explored=%d pruned=%d skipped=%d accel=%d\n",
@@ -437,90 +439,6 @@ func remoteVerifier(ctx context.Context, addr, src string, file *spec.File, rf r
 		}
 		return sb.String(), code
 	}
-}
-
-// portfolioNames resolves the -engines/-portfolio flags into the ordered
-// contender list (nil when portfolio mode is off). The order is the
-// deterministic tie-break priority.
-func portfolioNames(csv string, useDefault bool) []string {
-	if csv != "" {
-		var names []string
-		for _, n := range strings.Split(csv, ",") {
-			if n = strings.TrimSpace(n); n != "" {
-				names = append(names, n)
-			}
-		}
-		return names
-	}
-	if useDefault {
-		return append([]string(nil), engines.DefaultPortfolio...)
-	}
-	return nil
-}
-
-// portfolioReport races the contenders on one property and renders the
-// merged report. Engine disagreement on a decisive verdict surfaces as a
-// hard error (exit 2), never as a silently merged verdict.
-func portfolioReport(ctx context.Context, file *spec.File, prop *core.Property, contenders []core.Engine, observer core.Observer, showTrace, showStats, witness bool) (string, int) {
-	var sb strings.Builder
-	res, err := core.VerifyPortfolio(ctx, file.System, prop, core.PortfolioOptions{
-		Engines:  contenders,
-		Observer: observer,
-	})
-	if err != nil {
-		fmt.Fprintf(&sb, "%s: error: %v\n", prop.Name, err)
-		return sb.String(), 2
-	}
-	note := ""
-	if p := res.Portfolio; p != nil && p.Winner != "" {
-		note = ", won by " + p.Winner
-	}
-	elapsed := res.Stats.Elapsed.Round(time.Millisecond)
-	states := res.Stats.StatesExplored()
-	code := 0
-	switch {
-	case res.BudgetExhausted():
-		fmt.Fprintf(&sb, "%-30s BUDGET   (%s, %d states, memory budget exhausted%s)\n", prop.Name, elapsed, states, note)
-		code = 2
-	case res.TimedOut():
-		fmt.Fprintf(&sb, "%-30s TIMEOUT  (%s, %d states%s)\n", prop.Name, elapsed, states, note)
-		code = 2
-	case res.Holds():
-		fmt.Fprintf(&sb, "%-30s HOLDS    (%s, %d states%s)\n", prop.Name, elapsed, states, note)
-	default:
-		kind := ""
-		if res.Violation != nil {
-			kind = res.Violation.Kind + " "
-		}
-		fmt.Fprintf(&sb, "%-30s VIOLATED (%s, %d states, %scounterexample%s)\n", prop.Name, elapsed, states, kind, note)
-		if res.Violation != nil {
-			if showTrace {
-				printTrace(&sb, res.Violation)
-			}
-			if witness && prop.Task == file.System.Root.Name {
-				replayWitness(&sb, file.System, prefixAtoms(res.Violation))
-			}
-		}
-		code = 1
-	}
-	if showStats && res.Portfolio != nil {
-		for _, o := range res.Portfolio.Engines {
-			status := o.Verdict.String()
-			switch {
-			case o.Canceled:
-				status = "canceled"
-			case o.Error != "":
-				status = "error: " + o.Error
-			}
-			mark := " "
-			if o.Winner {
-				mark = "*"
-			}
-			fmt.Fprintf(&sb, "  %s %-22s %-16s %10s  states=%d\n",
-				mark, o.Engine, status, o.Elapsed.Round(time.Millisecond), o.States)
-		}
-	}
-	return sb.String(), code
 }
 
 // replayWitness tries to realize a counterexample prefix — given as the

@@ -1,0 +1,90 @@
+package main
+
+import (
+	"bytes"
+	"regexp"
+	"strings"
+	"testing"
+
+	"verifas/internal/engines"
+)
+
+const orderSpec = "../../testdata/orderfulfillment.has"
+
+// runCLI runs the command with args and returns its exit status, stdout
+// and stderr.
+func runCLI(t *testing.T, args ...string) (int, string, string) {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	code := run(args, &stdout, &stderr)
+	return code, stdout.String(), stderr.String()
+}
+
+// statesOf extracts the state count of a property's report line.
+func statesOf(t *testing.T, out, prop string) string {
+	t.Helper()
+	m := regexp.MustCompile(`(?m)^` + prop + ` .*, (\d+) states`).FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("no report line for %s in:\n%s", prop, out)
+	}
+	return m[1]
+}
+
+// TestEngineSelectsRegistryEngine: -engine runs the named registry
+// engine, not full VERIFAS under another label.
+func TestEngineSelectsRegistryEngine(t *testing.T) {
+	code, out, errOut := runCLI(t, "-engine", "verifas", "-prop", "ship_only_in_stock", orderSpec)
+	if code != 0 {
+		t.Fatalf("verifas: exit %d\n%s%s", code, out, errOut)
+	}
+	if got := statesOf(t, out, "ship_only_in_stock"); got != "36" {
+		t.Errorf("verifas explored %s states, want 36", got)
+	}
+
+	code, out, errOut = runCLI(t, "-engine", "verifas-nosp", "-prop", "ship_only_in_stock", orderSpec)
+	if code != 0 {
+		t.Fatalf("verifas-nosp: exit %d\n%s%s", code, out, errOut)
+	}
+	if got := statesOf(t, out, "ship_only_in_stock"); got != "88" {
+		t.Errorf("verifas-nosp explored %s states, want 88 (state pruning off)", got)
+	}
+}
+
+func TestEngineSpinlikeBitstate(t *testing.T) {
+	code, out, errOut := runCLI(t, "-engine", "spinlike-bitstate", "-prop", "take_order_happens", orderSpec)
+	if code == 2 {
+		t.Fatalf("exit 2\n%s%s", out, errOut)
+	}
+	if !strings.Contains(out, "bounded domain") {
+		t.Errorf("spinlike-bitstate verdict not marked bounded domain:\n%s", out)
+	}
+}
+
+func TestEngineUnknown(t *testing.T) {
+	code, out, errOut := runCLI(t, "-engine", "bogus", orderSpec)
+	if code != 2 {
+		t.Fatalf("exit %d, want 2\n%s%s", code, out, errOut)
+	}
+	for _, name := range engines.Names() {
+		if !strings.Contains(errOut, name) {
+			t.Errorf("error does not list engine %q:\n%s", name, errOut)
+		}
+	}
+	if out != "" {
+		t.Errorf("unknown engine still verified:\n%s", out)
+	}
+}
+
+// TestEnginesRace races two engines on every property through the -j
+// worker pool: each report names the winner.
+func TestEnginesRace(t *testing.T) {
+	code, out, errOut := runCLI(t, "-engines", "verifas,spinlike", "-j", "3", orderSpec)
+	if code != 0 {
+		t.Fatalf("exit %d\n%s%s", code, out, errOut)
+	}
+	for _, prop := range []string{"ship_only_in_stock", "take_order_happens", "credit_close_decided"} {
+		if !regexp.MustCompile(`(?m)^` + prop + ` .*won by `).MatchString(out) {
+			t.Errorf("%s: report names no winner:\n%s", prop, out)
+		}
+	}
+}

@@ -16,7 +16,6 @@ func quickCfg() Config {
 		Timeout:       3 * time.Second,
 		MaxStates:     150_000,
 		SpinMaxStates: 30_000,
-		SpinFresh:     1,
 		Seed:          1,
 	}
 }

@@ -6,8 +6,6 @@ import (
 	"sort"
 	"strings"
 	"time"
-
-	"verifas/internal/core"
 )
 
 // This file regenerates the paper's evaluation artifacts. Each function
@@ -264,15 +262,4 @@ func RROverhead(ctx context.Context, real, synthetic []*Spec, cfg Config) string
 			set.name, 100*mean(overheads), len(overheads)))
 	}
 	return sb.String()
-}
-
-// VerifyOne is a convenience wrapper used by the CLI: run the full
-// verifier on a named property.
-func VerifyOne(ctx context.Context, spec *Spec, prop *core.Property, cfg Config) (*core.Result, error) {
-	return core.Verify(ctx, spec.Sys, prop, core.Options{
-		Budget: core.Budget{
-			MaxStates: cfg.MaxStates,
-			Timeout:   cfg.Timeout,
-		},
-	})
 }

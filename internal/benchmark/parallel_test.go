@@ -117,7 +117,7 @@ func TestRecordRoundTrip(t *testing.T) {
 		if !strings.Contains(line, `"spec":"`+specs[0].Name+`"`) {
 			t.Errorf("line %d missing spec name: %s", i, line)
 		}
-		if !strings.Contains(line, `"verifier":"VERIFAS"`) {
+		if !strings.Contains(line, `"verifier":"verifas"`) {
 			t.Errorf("line %d missing verifier: %s", i, line)
 		}
 		if runs[i].Err == nil && strings.Contains(line, `"err"`) {

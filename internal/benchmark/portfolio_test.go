@@ -109,7 +109,6 @@ func TestWritePortfolioBenchJSON(t *testing.T) {
 		Timeout:       10 * time.Second,
 		MaxStates:     200_000,
 		SpinMaxStates: 100_000,
-		SpinFresh:     2,
 		Seed:          1,
 		Workers:       2,
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -111,9 +112,9 @@ type Config struct {
 	// (0 = unlimited); budget-exhausted runs count as Fail like
 	// timeouts.
 	MaxMemBytes int64
-	// SpinMaxStates and SpinFresh configure the spin-like baseline.
+	// SpinMaxStates is the state budget of the spinlike engines (the
+	// Table 2 budget of the baseline).
 	SpinMaxStates int
-	SpinFresh     int
 	// Seed drives property instantiation.
 	Seed int64
 	// Workers bounds RunSuite's parallelism: n > 1 fans the independent
@@ -152,7 +153,6 @@ func DefaultConfig() Config {
 		Timeout:       5 * time.Second,
 		MaxStates:     400_000,
 		SpinMaxStates: 150_000,
-		SpinFresh:     2,
 		Seed:          1,
 	}
 }
@@ -195,22 +195,20 @@ func (r Run) Winner() string {
 // Holds reports whether the run's verdict was VerdictHolds.
 func (r Run) Holds() bool { return r.Verdict == core.VerdictHolds }
 
-// Verifier names: the canonical variant labels, derived from the options
-// each one dispatches to (core.Options.Variant / spinlike.Variant), so
-// table labels and configurations cannot drift apart.
-var (
-	VVerifas      = core.Options{}.Variant()
-	VVerifasNoSet = core.Options{IgnoreSets: true}.Variant()
-	VSpinlike     = spinlike.Variant
-	VNoSP         = core.Options{NoStatePruning: true}.Variant()
-	VNoSA         = core.Options{NoStaticAnalysis: true}.Variant()
-	VNoDSS        = core.Options{NoIndexes: true}.Variant()
-	VNoRR         = core.Options{SkipRepeatedReachability: true}.Variant()
+// Verifier names are engine registry names (engines.Names), plus
+// VPortfolio for the Config.Engines race.
+const (
+	VVerifas      = "verifas"
+	VVerifasNoSet = "verifas-noset"
+	VSpinlike     = "spinlike"
+	VNoSP         = "verifas-nosp"
+	VNoSA         = "verifas-nosa"
+	VNoDSS        = "verifas-nodss"
+	VNoRR         = "verifas-norr"
+	// VPortfolio races the engines of Config.Engines per property; the
+	// first decisive verdict wins.
+	VPortfolio = "portfolio"
 )
-
-// VPortfolio is the portfolio verifier label: the engines of
-// Config.Engines race per property and the first decisive verdict wins.
-const VPortfolio = "Portfolio"
 
 // budget assembles the shared run budget from the config's knobs.
 func (cfg Config) budget(maxStates int, obs core.Observer) core.Budget {
@@ -224,45 +222,24 @@ func (cfg Config) budget(maxStates int, obs core.Observer) core.Budget {
 }
 
 // Engine resolves a verifier name into a core.Engine with the config's
-// budgets and the given observer attached. VPortfolio builds the
-// Config.Engines contenders from the built-in registry and races them
-// per property (the observer then sees the portfolio-level stream, not
-// the contenders'). Unknown names report core.ErrUnknownVariant.
+// budgets and the given observer attached. Any engine registry name is
+// a verifier name: the spinlike ones run under SpinMaxStates, the rest
+// under MaxStates. VPortfolio races the Config.Engines contenders under
+// MaxStates (the observer then sees the portfolio-level stream, not the
+// contenders'). Unknown names report core.ErrUnknownVariant.
 func (cfg Config) Engine(verifier string, obs core.Observer) (core.Engine, error) {
-	if verifier == VSpinlike {
-		return spinlike.Engine(spinlike.Options{
-			Budget:       cfg.budget(cfg.SpinMaxStates, obs),
-			FreshPerSort: cfg.SpinFresh,
-		}), nil
-	}
-	if verifier == VPortfolio {
-		names := cfg.Engines
+	names := []string{verifier}
+	maxStates := cfg.MaxStates
+	switch {
+	case verifier == VPortfolio:
+		names = cfg.Engines
 		if len(names) == 0 {
 			names = engines.DefaultPortfolio
 		}
-		contenders, err := engines.Default().BuildAll(names, cfg.budget(cfg.MaxStates, nil))
-		if err != nil {
-			return nil, err
-		}
-		return core.PortfolioEngine(contenders, false, obs), nil
+	case strings.HasPrefix(verifier, spinlike.EngineName):
+		maxStates = cfg.SpinMaxStates
 	}
-	opts := core.Options{Budget: cfg.budget(cfg.MaxStates, obs)}
-	switch verifier {
-	case VVerifas:
-	case VVerifasNoSet:
-		opts.IgnoreSets = true
-	case VNoSP:
-		opts.NoStatePruning = true
-	case VNoSA:
-		opts.NoStaticAnalysis = true
-	case VNoDSS:
-		opts.NoIndexes = true
-	case VNoRR:
-		opts.SkipRepeatedReachability = true
-	default:
-		return nil, fmt.Errorf("benchmark: %w %q", core.ErrUnknownVariant, verifier)
-	}
-	return core.Verifas(opts), nil
+	return engines.Build(names, cfg.budget(maxStates, obs))
 }
 
 // templateClasses maps template names to their Table 4 class.

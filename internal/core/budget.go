@@ -7,8 +7,8 @@ import "time"
 // registrant). core.Options and spinlike.Options embed it, so portfolio
 // mode and the service apply one budget uniformly across heterogeneous
 // engines instead of copying fields one by one. None of these fields
-// contribute to Options.Variant() or the engine name: they change how
-// long a run may take, never what it concludes.
+// contribute to the engine name: they change how long a run may take,
+// never what it concludes.
 type Budget struct {
 	// MaxStates bounds each search phase (0 = the engine's default;
 	// DefaultMaxStates for the VERIFAS core).

@@ -69,8 +69,8 @@ func TestCrossCheckSpinlike(t *testing.T) {
 	// Both engines behind the shared Engine interface: the cross-check
 	// logic below never dispatches on the engine kind again.
 	engines := map[string]core.Engine{
-		core.Options{IgnoreSets: true}.Variant(): core.Verifas(core.Options{Budget: core.Budget{MaxStates: 300_000, Timeout: 60 * time.Second}, IgnoreSets: true}),
-		spinlike.Variant:                         spinlike.Engine(spinlike.Options{Budget: core.Budget{MaxStates: 150_000, Timeout: 60 * time.Second}, FreshPerSort: 1}),
+		"verifas-noset": core.Verifas(core.Options{Budget: core.Budget{MaxStates: 300_000, Timeout: 60 * time.Second}, IgnoreSets: true}),
+		"spinlike":      spinlike.Engine(spinlike.Options{Budget: core.Budget{MaxStates: 150_000, Timeout: 60 * time.Second}, FreshPerSort: 1}),
 	}
 	for _, buggy := range []bool{false, true} {
 		sys := workflows.OrderFulfillment(buggy)
@@ -92,8 +92,8 @@ func TestCrossCheckSpinlike(t *testing.T) {
 				t.Logf("%s (buggy=%v): skipped (budget)", prop.Name, buggy)
 				continue
 			}
-			vres := results[core.Options{IgnoreSets: true}.Variant()]
-			sres := results[spinlike.Variant]
+			vres := results["verifas-noset"]
+			sres := results["spinlike"]
 			if !sres.Holds() && vres.Holds() {
 				t.Errorf("%s (buggy=%v): bounded checker finds a violation but VERIFAS-NoSet claims the property holds (UNSOUND)", prop.Name, buggy)
 			}

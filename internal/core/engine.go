@@ -134,35 +134,27 @@ func (o Options) caps() Capabilities {
 	}
 }
 
-// EngineName is the registry/service spelling of a configuration: the
-// lower-cased Variant() ("verifas", "verifas-noset", "verifas-nosp",
-// ...). Like Variant, budget fields and observers do not contribute.
+// EngineName is the registry spelling of a configuration: "verifas"
+// for the full configuration, with "-noset", "-nosp", "-nosa", "-nodss",
+// "-norr" suffixes for each disabled optimization. Budget fields and
+// observers do not contribute.
 func EngineName(opts Options) string {
-	return strings.ToLower(opts.Variant())
-}
-
-// Variant returns the canonical name of the configuration, used as the
-// table label in the evaluation harness: "VERIFAS" for the full
-// configuration, with "-NoSet", "-noSP", "-noSA", "-noDSS", "-noRR"
-// suffixes for each disabled optimization.
-// Budget fields (MaxStates, Timeout) and observers do not contribute.
-func (o Options) Variant() string {
 	var sb strings.Builder
-	sb.WriteString("VERIFAS")
-	if o.IgnoreSets {
-		sb.WriteString("-NoSet")
+	sb.WriteString("verifas")
+	if opts.IgnoreSets {
+		sb.WriteString("-noset")
 	}
-	if o.NoStatePruning {
-		sb.WriteString("-noSP")
+	if opts.NoStatePruning {
+		sb.WriteString("-nosp")
 	}
-	if o.NoStaticAnalysis {
-		sb.WriteString("-noSA")
+	if opts.NoStaticAnalysis {
+		sb.WriteString("-nosa")
 	}
-	if o.NoIndexes {
-		sb.WriteString("-noDSS")
+	if opts.NoIndexes {
+		sb.WriteString("-nodss")
 	}
-	if o.SkipRepeatedReachability {
-		sb.WriteString("-noRR")
+	if opts.SkipRepeatedReachability {
+		sb.WriteString("-norr")
 	}
 	return sb.String()
 }

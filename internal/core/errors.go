@@ -19,8 +19,7 @@ var (
 	// ErrInvalidProperty: the property failed validation against the
 	// system (clashing globals, undefined atoms, ill-typed conditions).
 	ErrInvalidProperty = errors.New("invalid property")
-	// ErrUnknownVariant: a verifier-variant label names no engine (used
-	// by the benchmark dispatch).
+	// ErrUnknownVariant: an engine name is not in the registry.
 	ErrUnknownVariant = errors.New("unknown verifier variant")
 )
 

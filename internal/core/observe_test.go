@@ -272,23 +272,23 @@ func TestSentinelErrors(t *testing.T) {
 	}
 }
 
-func TestVariantNames(t *testing.T) {
+func TestEngineNames(t *testing.T) {
 	cases := []struct {
 		opts Options
 		want string
 	}{
-		{Options{}, "VERIFAS"},
-		{Options{IgnoreSets: true}, "VERIFAS-NoSet"},
-		{Options{NoStatePruning: true}, "VERIFAS-noSP"},
-		{Options{NoStaticAnalysis: true}, "VERIFAS-noSA"},
-		{Options{NoIndexes: true}, "VERIFAS-noDSS"},
-		{Options{SkipRepeatedReachability: true}, "VERIFAS-noRR"},
-		{Options{NoStatePruning: true, NoIndexes: true}, "VERIFAS-noSP-noDSS"},
-		{Options{Budget: Budget{MaxStates: 10, Timeout: time.Second, ProgressStride: 1}}, "VERIFAS"},
+		{Options{}, "verifas"},
+		{Options{IgnoreSets: true}, "verifas-noset"},
+		{Options{NoStatePruning: true}, "verifas-nosp"},
+		{Options{NoStaticAnalysis: true}, "verifas-nosa"},
+		{Options{NoIndexes: true}, "verifas-nodss"},
+		{Options{SkipRepeatedReachability: true}, "verifas-norr"},
+		{Options{NoStatePruning: true, NoIndexes: true}, "verifas-nosp-nodss"},
+		{Options{Budget: Budget{MaxStates: 10, Timeout: time.Second, ProgressStride: 1}}, "verifas"},
 	}
 	for _, c := range cases {
-		if got := c.opts.Variant(); got != c.want {
-			t.Errorf("Variant(%+v) = %q, want %q", c.opts, got, c.want)
+		if got := EngineName(c.opts); got != c.want {
+			t.Errorf("EngineName(%+v) = %q, want %q", c.opts, got, c.want)
 		}
 	}
 }

@@ -32,16 +32,10 @@ func verifasCase(name string, sys *has.System, prop *core.Property, maxStates in
 	}}
 }
 
-func spinlikeCase(name string, sys *has.System, prop *spinlike.Property) determinismCase {
+func spinlikeCase(name string, sys *has.System, prop *core.Property) determinismCase {
 	return determinismCase{name: name, verify: func(ctx context.Context) (*core.Result, error) {
 		opts := spinlike.Options{Budget: core.Budget{MaxStates: 60_000, Timeout: 60 * time.Second}}
-		r, err := spinlike.Verify(ctx, sys, prop, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &core.Result{Verdict: r.Verdict, Stats: core.Stats{
-			Reachability: core.PhaseStats{States: r.Stats.States, MemBytes: r.Stats.MemBytes},
-		}}, nil
+		return spinlike.Verify(ctx, sys, prop, opts)
 	}}
 }
 
@@ -106,13 +100,13 @@ func determinismCases(t *testing.T) []determinismCase {
 		t.Fatal("synthetic suite lacks synth-09 | GF p -> GF q")
 	}
 	cases = append(cases,
-		spinlikeCase("spinlike-globals", order, &spinlike.Property{
+		spinlikeCase("spinlike-globals", order, &core.Property{
 			Task:    "ProcessOrders",
 			Globals: []has.Variable{{Name: "gitem", Type: has.IDType("ITEMS")}},
 			Conds:   map[string]fol.Formula{"mine": fol.MustParse(`item_id == gitem`)},
 			Formula: ltl.MustParse(`G (mine -> F open(ShipItem))`),
 		}),
-		spinlikeCase("spinlike-no-globals", order, &spinlike.Property{
+		spinlikeCase("spinlike-no-globals", order, &core.Property{
 			Task:    "ProcessOrders",
 			Formula: ltl.MustParse(`F open(ShipItem)`),
 		}),

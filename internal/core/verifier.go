@@ -58,7 +58,7 @@ type Options struct {
 	// intern table. Interning is semantically transparent (structural
 	// equality is unchanged; equal types just share one allocation), so
 	// this exists for memory benchmarking and defensive bisection, and —
-	// like the Budget fields — does not contribute to Variant().
+	// like the Budget fields — does not contribute to EngineName.
 	NoInterning bool
 }
 

@@ -2,11 +2,13 @@
 // core.Registry. It exists above core and spinlike so that neither
 // imports the other: core defines the registry and its own variants,
 // spinlike registers the baseline, and every front end (the service,
-// the benchmark harness, the CLIs) resolves engine labels through the
-// default registry assembled here.
+// the benchmark harness, the CLIs) turns engine names into engines
+// through Build, over the one registry assembled here.
 package engines
 
 import (
+	"fmt"
+
 	"verifas/internal/core"
 	"verifas/internal/spinlike"
 )
@@ -30,4 +32,34 @@ func Default() *core.Registry {
 	core.RegisterVerifas(r)
 	spinlike.Register(r)
 	return r
+}
+
+// builtin is the catalogue Build and Names read; nothing registers into
+// it after package initialization.
+var builtin = Default()
+
+// Names lists the built-in engine names in registration order.
+func Names() []string { return builtin.Names() }
+
+// Build turns engine names into one engine under budget b. One name
+// gives that engine with b. Several names give a portfolio: the
+// contenders are built with b minus its observer and raced by
+// core.PortfolioEngine, first decisive verdict wins, list order is the
+// tie-break priority, and b.Observer receives the portfolio-level
+// stream. An unknown name wraps core.ErrUnknownVariant and lists the
+// known ones; an empty list or a repeated name is an error too.
+func Build(names []string, b core.Budget) (core.Engine, error) {
+	switch len(names) {
+	case 0:
+		return nil, fmt.Errorf("engines: %w: no engine named (known: %v)", core.ErrUnknownVariant, Names())
+	case 1:
+		return builtin.Build(names[0], b)
+	}
+	observer := b.Observer
+	b.Observer = nil
+	contenders, err := builtin.BuildAll(names, b)
+	if err != nil {
+		return nil, err
+	}
+	return core.PortfolioEngine(contenders, false, observer), nil
 }

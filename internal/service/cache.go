@@ -25,7 +25,8 @@ import (
 //   - the property is rendered with core.PropertySignature, which sorts
 //     the condition definitions and normalizes the formula rendering;
 //   - the options are the normalized EngineOptions (defaults applied)
-//     in canonical JSON, so spelling out a default equals omitting it.
+//     in canonical JSON, so spelling out a default equals omitting it;
+//     the progress stride is left out, as it never changes a result.
 //
 // Properties declared in the spec source but not selected by the job do
 // not contribute: the same (system, property) pair submitted from files

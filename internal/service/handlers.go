@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"verifas/internal/engines"
 	"verifas/internal/store"
 )
 
@@ -327,7 +328,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		MemBudget: MemBudgetInfo{
 			DefaultBytes: s.cfg.DefaultMemBudget,
 		},
-		Engines: EngineNames(),
+		Engines: engines.Names(),
 		Node:    s.cfg.NodeID,
 	})
 }

@@ -70,16 +70,19 @@ type RequestOptions struct {
 	// result-cache key.
 	MemBudget int64 `json:"mem_budget,omitempty"`
 	// ProgressStride is the state-count stride between streamed progress
-	// events (0 = core.DefaultProgressStride).
+	// events (0 = core.DefaultProgressStride). It is not part of the
+	// result-cache key: a job answered from the store or coalesced onto
+	// an identical in-flight run gets that run's events, at that run's
+	// stride.
 	ProgressStride int `json:"progress_stride,omitempty"`
 }
 
 // EngineOptions is the normalized form of RequestOptions with every
-// server default applied. All fields marshal unconditionally: its
-// canonical JSON is the options component of the content-addressed
-// result-cache key, so two requests that resolve to the same effective
-// configuration share one cache entry regardless of which fields they
-// spelled out.
+// server default applied. Its canonical JSON is the options component of
+// the content-addressed result-cache key, so two requests that resolve
+// to the same effective configuration share one cache entry regardless
+// of which fields they spelled out. Every field but ProgressStride
+// marshals unconditionally.
 type EngineOptions struct {
 	Engine string `json:"engine"`
 	// Engines is the portfolio contender list in tie-break order (nil
@@ -87,11 +90,15 @@ type EngineOptions struct {
 	// JSON marshals unconditionally, so the engine selection — including
 	// contender order — is part of the cache key: a portfolio result can
 	// never collide with a single-engine result for the same spec.
-	Engines        []string `json:"engines"`
-	TimeoutMS      int64    `json:"timeout_ms"`
-	MaxStates      int      `json:"max_states"`
-	MemBudget      int64    `json:"mem_budget"`
-	ProgressStride int      `json:"progress_stride"`
+	Engines   []string `json:"engines"`
+	TimeoutMS int64    `json:"timeout_ms"`
+	MaxStates int      `json:"max_states"`
+	MemBudget int64    `json:"mem_budget"`
+	// ProgressStride only sets how often the run sends progress events;
+	// it never changes the result, so it stays out of the cache key. A
+	// job that joins an identical in-flight run streams events at that
+	// run's stride, not its own.
+	ProgressStride int `json:"-"`
 }
 
 // Timeout returns the wall-clock bound as a duration.

@@ -43,7 +43,7 @@ import (
 )
 
 // EngineVerifas is the engine of jobs that name none. Any name in the
-// built-in engine registry (engines.Default: "verifas" and its ablation
+// built-in engine registry (engines.Names: "verifas" and its ablation
 // variants, "spinlike", "spinlike-bitstate") is accepted.
 // EnginePortfolio is the synthesized label of jobs that set the
 // "engines" list.
@@ -51,14 +51,6 @@ const (
 	EngineVerifas   = "verifas"
 	EnginePortfolio = "portfolio"
 )
-
-// builtinRegistry resolves engine names for the default dispatch and for
-// portfolio contenders.
-var builtinRegistry = engines.Default()
-
-// EngineNames lists the engine labels the built-in dispatch accepts, in
-// registration order.
-func EngineNames() []string { return builtinRegistry.Names() }
 
 // EngineFunc resolves a normalized option set and a per-run observer into
 // a runnable engine. The default (nil) dispatch covers every registry
@@ -223,22 +215,18 @@ func (o EngineOptions) budget(observer core.Observer) core.Budget {
 	}
 }
 
-// BuiltinEngine is the default engine dispatch. Portfolio jobs (a
-// non-empty Engines list) build their contenders from the built-in
-// registry under one uniform budget and race them — the observer then
-// receives the portfolio-level stream (EngineStart/EngineDone plus the
-// merged verdict) while the contenders run unobserved. Single-engine
-// jobs build the named registry engine. Injected Config.Engine
-// overrides can delegate to it to wrap the real engines.
+// BuiltinEngine is the default engine dispatch: engines.Build over the
+// job's contender list, or over its single engine name. A portfolio's
+// contenders share one budget and run unobserved; the observer receives
+// the portfolio-level stream (EngineStart/EngineDone plus the merged
+// verdict). Injected Config.Engine overrides can delegate to it to wrap
+// the real engines.
 func BuiltinEngine(o EngineOptions, observer core.Observer) (core.Engine, error) {
-	if len(o.Engines) > 0 {
-		contenders, err := builtinRegistry.BuildAll(o.Engines, o.budget(nil))
-		if err != nil {
-			return nil, fmt.Errorf("service: %w", err)
-		}
-		return core.PortfolioEngine(contenders, false, observer), nil
+	names := o.Engines
+	if len(names) == 0 {
+		names = []string{o.Engine}
 	}
-	eng, err := builtinRegistry.Build(o.Engine, o.budget(observer))
+	eng, err := engines.Build(names, o.budget(observer))
 	if err != nil {
 		return nil, fmt.Errorf("service: %w", err)
 	}

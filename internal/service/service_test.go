@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"verifas/internal/core"
+	"verifas/internal/engines"
 	"verifas/internal/has"
 	"verifas/internal/obs"
 	"verifas/internal/service"
@@ -563,7 +564,7 @@ func TestEveryEngineName(t *testing.T) {
 	_, cl := newTestServer(t, service.Config{Workers: 1})
 	ctx := context.Background()
 	keys := map[string]string{}
-	for _, name := range service.EngineNames() {
+	for _, name := range engines.Names() {
 		req := buggyShipStocked()
 		req.Options = &service.RequestOptions{Engine: name, MaxStates: 200000}
 		res, err := cl.Verify(ctx, req)
@@ -627,5 +628,47 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 	}
 	if st3.Cached || st3.Key == base.Key {
 		t.Fatal("engine verifas-nosp collided with the default-options key")
+	}
+}
+
+// TestProgressStrideNotInKey: the progress stride only paces the event
+// stream, so a job that differs from a finished one only in
+// progress_stride is a cache hit, not a second engine run.
+func TestProgressStrideNotInKey(t *testing.T) {
+	spec := loadSpec(t)
+	var runs atomic.Int64
+	cfg := service.Config{Workers: 1}
+	cfg.Engine = func(o service.EngineOptions, observer core.Observer) (core.Engine, error) {
+		eng, err := service.BuiltinEngine(o, observer)
+		if err != nil {
+			return nil, err
+		}
+		return core.VerifierFunc(func(ctx context.Context, sys *has.System, prop *core.Property) (*core.Result, error) {
+			runs.Add(1)
+			return eng.Verify(ctx, sys, prop)
+		}), nil
+	}
+	_, cl := newTestServer(t, cfg)
+	ctx := context.Background()
+
+	first, err := cl.Verify(ctx, &service.SubmitRequest{
+		Spec: spec, Property: "ship_only_in_stock",
+		Options: &service.RequestOptions{ProgressStride: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Cached {
+		t.Fatal("first submission reported a cache hit")
+	}
+	second, err := cl.Submit(ctx, &service.SubmitRequest{Spec: spec, Property: "ship_only_in_stock"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !second.Cached || second.Key != first.Key {
+		t.Errorf("default-stride resubmission: cached=%v, key %s vs %s", second.Cached, second.Key, first.Key)
+	}
+	if n := runs.Load(); n != 1 {
+		t.Errorf("%d engine runs, want 1", n)
 	}
 }

@@ -12,7 +12,7 @@ import (
 	"verifas/internal/workflows"
 )
 
-func verifyOpts(t *testing.T, sys *has.System, prop *Property, opts Options) *Result {
+func verifyOpts(t *testing.T, sys *has.System, prop *core.Property, opts Options) *core.Result {
 	t.Helper()
 	if err := sys.Validate(); err != nil {
 		t.Fatal(err)
@@ -39,9 +39,9 @@ func verifyOpts(t *testing.T, sys *has.System, prop *Property, opts Options) *Re
 // TestBitstateDifferential runs the bounded checker in exact and bitstate
 // mode over the standard properties: verdicts and state counts must
 // agree on these small systems (a hash collision is ~2^-128), and only
-// the bitstate run may flag itself lossy.
+// the bitstate configuration may declare itself lossy.
 func TestBitstateDifferential(t *testing.T) {
-	props := []*Property{
+	props := []*core.Property{
 		{
 			Task:    "ProcessOrders",
 			Conds:   map[string]fol.Formula{"stocked": fol.MustParse(`instock == "Yes"`)},
@@ -57,44 +57,46 @@ func TestBitstateDifferential(t *testing.T) {
 			Formula: ltl.MustParse(`G (close(CheckCredit) -> decided)`),
 		},
 	}
+	if (Options{}).Caps().Lossy {
+		t.Error("exact configuration declares itself lossy")
+	}
+	if !(Options{Bitstate: true}).Caps().Lossy {
+		t.Error("bitstate configuration does not declare itself lossy")
+	}
 	for _, buggy := range []bool{false, true} {
 		sys := workflows.OrderFulfillment(buggy)
 		for _, prop := range props {
 			exact := verifyOpts(t, sys, prop, Options{})
 			bit := verifyOpts(t, sys, prop, Options{Bitstate: true})
 			if exact.TimedOut() || bit.TimedOut() {
-				t.Skipf("bounded search exceeded budget (%d/%d states)", exact.Stats.States, bit.Stats.States)
+				t.Skipf("bounded search exceeded budget (%d/%d states)", exact.Stats.Reachability.States, bit.Stats.Reachability.States)
 			}
 			if exact.Holds() != bit.Holds() {
 				t.Errorf("buggy=%v %s: bitstate verdict %v, exact %v",
 					buggy, prop.Formula, bit.Verdict, exact.Verdict)
 			}
-			if exact.Stats.States != bit.Stats.States {
+			if exact.Stats.Reachability.States != bit.Stats.Reachability.States {
 				t.Errorf("buggy=%v %s: bitstate states %d, exact %d",
-					buggy, prop.Formula, bit.Stats.States, exact.Stats.States)
-			}
-			if exact.Stats.Lossy {
-				t.Error("exact run flagged lossy")
-			}
-			if !bit.Stats.Lossy {
-				t.Error("bitstate run not flagged lossy")
+					buggy, prop.Formula, bit.Stats.Reachability.States, exact.Stats.Reachability.States)
 			}
 		}
 	}
 }
 
-// TestBitstateCoverageReporting: the lossy flag survives into the
-// core-format stats so downstream consumers can see the coverage caveat.
+// TestBitstateCoverageReporting: the bitstate engine declares the lossy
+// caveat, so portfolio mode can see the coverage gap, and still reports
+// its memory accounting.
 func TestBitstateCoverageReporting(t *testing.T) {
-	res := verifyOpts(t, workflows.OrderFulfillment(false), &Property{
+	opts := Options{Bitstate: true}
+	if !Engine(opts).Caps().Lossy {
+		t.Fatal("bitstate engine not flagged lossy")
+	}
+	res := verifyOpts(t, workflows.OrderFulfillment(false), &core.Property{
 		Task:    "ProcessOrders",
 		Conds:   map[string]fol.Formula{"stocked": fol.MustParse(`instock == "Yes"`)},
 		Formula: ltl.MustParse(`G (open(ShipItem) -> stocked)`),
-	}, Options{Bitstate: true})
-	if !res.Stats.Lossy {
-		t.Fatal("bitstate stats not flagged lossy")
-	}
-	if res.Stats.MemBytes <= 0 {
+	}, opts)
+	if res.Stats.Reachability.MemBytes <= 0 {
 		t.Error("bitstate run reports no MemBytes")
 	}
 }
@@ -103,7 +105,7 @@ func TestBitstateCoverageReporting(t *testing.T) {
 // per-state accounting must be smaller than exact mode's, which retains
 // full state keys.
 func TestBitstateUsesLessMemory(t *testing.T) {
-	prop := &Property{
+	prop := &core.Property{
 		Task:    "ProcessOrders",
 		Formula: ltl.MustParse(`F open(ShipItem)`),
 	}
@@ -113,14 +115,14 @@ func TestBitstateUsesLessMemory(t *testing.T) {
 	if exact.TimedOut() || bit.TimedOut() {
 		t.Skip("bounded search exceeded budget")
 	}
-	if bit.Stats.MemBytes >= exact.Stats.MemBytes {
-		t.Errorf("bitstate MemBytes %d not below exact %d", bit.Stats.MemBytes, exact.Stats.MemBytes)
+	if bit.Stats.Reachability.MemBytes >= exact.Stats.Reachability.MemBytes {
+		t.Errorf("bitstate MemBytes %d not below exact %d", bit.Stats.Reachability.MemBytes, exact.Stats.Reachability.MemBytes)
 	}
 }
 
 func TestSpinlikeMemBudget(t *testing.T) {
 	sys := workflows.OrderFulfillment(false)
-	prop := &Property{
+	prop := &core.Property{
 		Task:    "ProcessOrders",
 		Formula: ltl.MustParse(`F open(ShipItem)`),
 	}
@@ -131,10 +133,10 @@ func TestSpinlikeMemBudget(t *testing.T) {
 	if res.TimedOut() {
 		t.Error("budget verdict must not read as timed-out")
 	}
-	if res.Stats.States == 0 {
+	if res.Stats.Reachability.States == 0 {
 		t.Error("no partial stats on the budget path")
 	}
-	if res.Stats.MemBytes <= 0 {
+	if res.Stats.Reachability.MemBytes <= 0 {
 		t.Error("no MemBytes in partial stats")
 	}
 
@@ -150,16 +152,15 @@ func TestSpinlikeMemBudget(t *testing.T) {
 
 func TestSpinlikeMemBudgetCoreStats(t *testing.T) {
 	sys := workflows.OrderFulfillment(false)
-	prop := &Property{
+	prop := &core.Property{
 		Task:    "ProcessOrders",
 		Formula: ltl.MustParse(`F open(ShipItem)`),
 	}
 	res := verifyOpts(t, sys, prop, Options{Budget: core.Budget{MaxMemBytes: 4 << 10}})
-	cs := res.coreStats()
-	if !cs.BudgetExhausted {
-		t.Error("core-format stats missing BudgetExhausted")
+	if !res.Stats.BudgetExhausted {
+		t.Error("stats missing BudgetExhausted")
 	}
-	if cs.Reachability.MemBytes <= 0 {
-		t.Error("core-format stats missing MemBytes")
+	if res.Stats.Reachability.MemBytes <= 0 {
+		t.Error("stats missing MemBytes")
 	}
 }

@@ -6,13 +6,14 @@ import (
 	"testing"
 	"time"
 
+	"verifas/internal/core"
 	"verifas/internal/ltl"
 	"verifas/internal/workflows"
 )
 
 func TestVerifyPreCancelled(t *testing.T) {
 	sys := workflows.OrderFulfillment(false)
-	prop := &Property{Task: "ProcessOrders", Formula: ltl.MustParse(`F close(TakeOrder)`)}
+	prop := &core.Property{Task: "ProcessOrders", Formula: ltl.MustParse(`F close(TakeOrder)`)}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := Verify(ctx, sys, prop, Options{FreshPerSort: 2}); !errors.Is(err, context.Canceled) {
@@ -22,7 +23,7 @@ func TestVerifyPreCancelled(t *testing.T) {
 
 func TestVerifyCtxDeadlineReportsTimeout(t *testing.T) {
 	sys := workflows.OrderFulfillment(false)
-	prop := &Property{Task: "ProcessOrders", Formula: ltl.MustParse(`F close(TakeOrder)`)}
+	prop := &core.Property{Task: "ProcessOrders", Formula: ltl.MustParse(`F close(TakeOrder)`)}
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	res, err := Verify(ctx, sys, prop, Options{FreshPerSort: 2})

@@ -7,10 +7,6 @@ import (
 	"verifas/internal/has"
 )
 
-// Variant is the canonical benchmark label of the bounded baseline,
-// matching the naming scheme of core.Options.Variant.
-const Variant = "Spin-like"
-
 // Registry names of the baseline's configurations.
 const (
 	// EngineName is the exact bounded baseline.
@@ -40,22 +36,10 @@ func (o Options) name() string {
 
 // Engine adapts the bounded baseline to the shared core.Engine
 // interface, so the benchmark suite, the portfolio racer and the
-// cross-check tests dispatch both engines uniformly. The core.Property
-// is narrowed to the fields the baseline interprets, and the flat
-// result is widened to core.Result (the whole NDFS reported as the
-// reachability phase).
+// cross-check tests dispatch both engines uniformly.
 func Engine(opts Options) core.Engine {
 	return core.NewEngine(opts.name(), opts.Caps(), func(ctx context.Context, sys *has.System, prop *core.Property) (*core.Result, error) {
-		res, err := Verify(ctx, sys, &Property{
-			Task:    prop.Task,
-			Globals: prop.Globals,
-			Conds:   prop.Conds,
-			Formula: prop.Formula,
-		}, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &core.Result{Verdict: res.Verdict, Stats: res.coreStats()}, nil
+		return Verify(ctx, sys, prop, opts)
 	})
 }
 

@@ -32,7 +32,7 @@ func TestObserverEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := &recorder{}
-	res, err := Verify(context.Background(), sys, &Property{
+	res, err := Verify(context.Background(), sys, &core.Property{
 		Task:    "ProcessOrders",
 		Conds:   map[string]fol.Formula{"stocked": fol.MustParse(`instock == "Yes"`)},
 		Formula: ltl.MustParse(`G (open(ShipItem) -> stocked)`),
@@ -62,8 +62,8 @@ func TestObserverEvents(t *testing.T) {
 		}
 		last = e.States
 	}
-	if last != res.Stats.States {
-		t.Errorf("final progress states = %d, result %d", last, res.Stats.States)
+	if last != res.Stats.Reachability.States {
+		t.Errorf("final progress states = %d, result %d", last, res.Stats.Reachability.States)
 	}
 	if len(rec.verdicts) != 1 {
 		t.Fatalf("%d verdict events, want 1", len(rec.verdicts))
@@ -72,14 +72,14 @@ func TestObserverEvents(t *testing.T) {
 	if v.Verdict != res.Verdict {
 		t.Errorf("verdict event %v, result %v", v.Verdict, res.Verdict)
 	}
-	if v.Stats.Reachability.States != res.Stats.States {
-		t.Errorf("verdict stats states = %d, result %d", v.Stats.Reachability.States, res.Stats.States)
+	if v.Stats.Reachability.States != res.Stats.Reachability.States {
+		t.Errorf("verdict stats states = %d, result %d", v.Stats.Reachability.States, res.Stats.Reachability.States)
 	}
 }
 
 func TestUnknownTaskSentinel(t *testing.T) {
 	sys := workflows.OrderFulfillment(false)
-	_, err := Verify(context.Background(), sys, &Property{
+	_, err := Verify(context.Background(), sys, &core.Property{
 		Task:    "NoSuchTask",
 		Formula: ltl.MustParse(`G call(Anything)`),
 	}, Options{})

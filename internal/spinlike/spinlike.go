@@ -61,56 +61,12 @@ type Options struct {
 	// a hash collision (~2⁻¹²⁸ per pair) silently merges two distinct
 	// states, so a "holds" verdict no longer guarantees full bounded-
 	// domain coverage and a reported cycle could in principle be
-	// fabricated. Off by default; runs that enable it carry
-	// Stats.Lossy = true so downstream consumers can tell.
+	// fabricated. Off by default; engines that enable it declare
+	// Caps().Lossy so portfolio mode never lets their "holds" decide.
 	Bitstate bool
 	// MaxBranch caps the nondeterministic branching of one transition
 	// (assignment × row-materialization choices); exceeding it aborts.
 	MaxBranch int
-}
-
-// Property mirrors core.Property for the baseline. It stays a separate
-// type (rather than reusing core.Property) so the bounded engine's
-// public surface documents exactly which fields it interprets; Engine
-// converts between the two.
-type Property struct {
-	Task    string
-	Globals []has.Variable
-	Conds   map[string]fol.Formula
-	Formula ltl.Formula
-}
-
-// Result is the verification outcome.
-type Result struct {
-	// Verdict classifies the outcome: VerdictHolds means no violation
-	// exists within the bounded domain (violations requiring more data
-	// values may still exist); VerdictViolated is witnessed by a run
-	// over the bounded domain; VerdictTimedOut means the state or time
-	// budget ran out first.
-	Verdict core.Verdict
-	Stats   Stats
-}
-
-// Holds reports whether the property held within the bounded domain.
-func (r *Result) Holds() bool { return r.Verdict == core.VerdictHolds }
-
-// TimedOut reports whether the search exhausted its budget.
-func (r *Result) TimedOut() bool { return r.Verdict == core.VerdictTimedOut }
-
-// BudgetExhausted reports whether the memory budget stopped the search.
-func (r *Result) BudgetExhausted() bool { return r.Verdict == core.VerdictBudget }
-
-// Stats reports search effort.
-type Stats struct {
-	States  int
-	Elapsed time.Duration
-	// MemBytes is the estimated retained bytes of the state table(s) —
-	// the memory-budget accounting, not a heap measurement.
-	MemBytes int64
-	// Lossy records that the run used bitstate hashing: state coverage
-	// is probabilistic (see Options.Bitstate) and a "holds" verdict is
-	// weaker than an exact run's.
-	Lossy bool
 }
 
 // rowKey identifies an abstract database row.
@@ -160,7 +116,7 @@ func (m *rowMap) entries() []*rowMap {
 type checker struct {
 	sys   *has.System
 	task  *has.Task
-	prop  *Property
+	prop  *core.Property
 	buchi *ltl.Buchi
 	opts  Options
 
@@ -209,12 +165,19 @@ func (c *checker) emitProgress(frontier int, force bool) {
 
 // Verify runs the bounded explicit-state check of the property.
 //
+// VerdictHolds means no violation exists within the bounded domain
+// (violations requiring more data values may still exist);
+// VerdictViolated is witnessed by a run over the bounded domain, though
+// the result carries no trace; VerdictTimedOut means the state or time
+// budget ran out first. The whole nested DFS is reported as the
+// reachability phase of Result.Stats.
+//
 // Cancellation contract (mirrors core.Verify): the nested DFS polls ctx
 // cooperatively. A cancelled ctx makes Verify return promptly with
 // ctx.Err(); an expired deadline (ctx's or opts.Timeout, whichever fires
 // first) is reported as Result.TimedOut with a nil error. A nil ctx is
 // treated as context.Background().
-func Verify(ctx context.Context, sys *has.System, prop *Property, opts Options) (*Result, error) {
+func Verify(ctx context.Context, sys *has.System, prop *core.Property, opts Options) (*core.Result, error) {
 	start := time.Now()
 	if ctx == nil {
 		ctx = context.Background()
@@ -334,7 +297,7 @@ func Verify(ctx context.Context, sys *has.System, prop *Property, opts Options) 
 			return nil, err
 		}
 	}
-	res := &Result{Verdict: core.VerdictHolds}
+	res := &core.Result{Verdict: core.VerdictHolds}
 	switch {
 	case budgetHit:
 		res.Verdict = core.VerdictBudget
@@ -343,29 +306,21 @@ func Verify(ctx context.Context, sys *has.System, prop *Property, opts Options) 
 	case violated:
 		res.Verdict = core.VerdictViolated
 	}
-	res.Stats.States = c.interned
-	res.Stats.MemBytes = c.memBytes
-	res.Stats.Lossy = opts.Bitstate
-	res.Stats.Elapsed = time.Since(start)
+	elapsed := time.Since(start)
+	res.Stats = core.Stats{
+		Reachability: core.PhaseStats{
+			States:   c.interned,
+			Elapsed:  elapsed,
+			MemBytes: c.memBytes,
+		},
+		Elapsed:         elapsed,
+		TimedOut:        res.Verdict == core.VerdictTimedOut,
+		BudgetExhausted: res.Verdict == core.VerdictBudget,
+	}
 	if obs != nil {
-		obs.Verdict(core.VerdictEvent{Verdict: res.Verdict, Stats: res.coreStats()})
+		obs.Verdict(core.VerdictEvent{Verdict: res.Verdict, Stats: res.Stats})
 	}
 	return res, nil
-}
-
-// coreStats maps the bounded engine's flat stats onto the shared Stats
-// shape (the whole NDFS counts as the reachability phase).
-func (r *Result) coreStats() core.Stats {
-	return core.Stats{
-		Reachability: core.PhaseStats{
-			States:   r.Stats.States,
-			Elapsed:  r.Stats.Elapsed,
-			MemBytes: r.Stats.MemBytes,
-		},
-		Elapsed:         r.Stats.Elapsed,
-		TimedOut:        r.Verdict == core.VerdictTimedOut,
-		BudgetExhausted: r.Verdict == core.VerdictBudget,
-	}
 }
 
 // checkAllGlobals checks the property for every global valuation, in

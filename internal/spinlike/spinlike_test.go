@@ -12,7 +12,7 @@ import (
 	"verifas/internal/workflows"
 )
 
-func run(t *testing.T, sys *has.System, prop *Property) *Result {
+func run(t *testing.T, sys *has.System, prop *core.Property) *core.Result {
 	t.Helper()
 	if err := sys.Validate(); err != nil {
 		t.Fatal(err)
@@ -25,13 +25,13 @@ func run(t *testing.T, sys *has.System, prop *Property) *Result {
 }
 
 func TestSafetyHoldsCorrect(t *testing.T) {
-	res := run(t, workflows.OrderFulfillment(false), &Property{
+	res := run(t, workflows.OrderFulfillment(false), &core.Property{
 		Task:    "ProcessOrders",
 		Conds:   map[string]fol.Formula{"stocked": fol.MustParse(`instock == "Yes"`)},
 		Formula: ltl.MustParse(`G (open(ShipItem) -> stocked)`),
 	})
 	if res.TimedOut() {
-		t.Skipf("bounded search exceeded budget after %d states", res.Stats.States)
+		t.Skipf("bounded search exceeded budget after %d states", res.Stats.Reachability.States)
 	}
 	if !res.Holds() {
 		t.Error("guard property should hold within the bounded domain")
@@ -39,13 +39,13 @@ func TestSafetyHoldsCorrect(t *testing.T) {
 }
 
 func TestSafetyViolatedBuggy(t *testing.T) {
-	res := run(t, workflows.OrderFulfillment(true), &Property{
+	res := run(t, workflows.OrderFulfillment(true), &core.Property{
 		Task:    "ProcessOrders",
 		Conds:   map[string]fol.Formula{"stocked": fol.MustParse(`instock == "Yes"`)},
 		Formula: ltl.MustParse(`G (open(ShipItem) -> stocked)`),
 	})
 	if res.TimedOut() {
-		t.Skipf("bounded search exceeded budget after %d states", res.Stats.States)
+		t.Skipf("bounded search exceeded budget after %d states", res.Stats.Reachability.States)
 	}
 	if res.Holds() {
 		t.Error("buggy variant should be caught even with bounded data")
@@ -53,12 +53,12 @@ func TestSafetyViolatedBuggy(t *testing.T) {
 }
 
 func TestLivenessViolated(t *testing.T) {
-	res := run(t, workflows.OrderFulfillment(false), &Property{
+	res := run(t, workflows.OrderFulfillment(false), &core.Property{
 		Task:    "ProcessOrders",
 		Formula: ltl.MustParse(`F open(ShipItem)`),
 	})
 	if res.TimedOut() {
-		t.Skipf("bounded search exceeded budget after %d states", res.Stats.States)
+		t.Skipf("bounded search exceeded budget after %d states", res.Stats.Reachability.States)
 	}
 	if res.Holds() {
 		t.Error("shipping is not inevitable; nested DFS should find an accepting cycle")
@@ -66,13 +66,13 @@ func TestLivenessViolated(t *testing.T) {
 }
 
 func TestChildTaskFiniteViolation(t *testing.T) {
-	res := run(t, workflows.OrderFulfillment(false), &Property{
+	res := run(t, workflows.OrderFulfillment(false), &core.Property{
 		Task:    "CheckCredit",
 		Conds:   map[string]fol.Formula{"undecided": fol.MustParse(`c_status == null`)},
 		Formula: ltl.MustParse(`G undecided`),
 	})
 	if res.TimedOut() {
-		t.Skipf("bounded search exceeded budget after %d states", res.Stats.States)
+		t.Skipf("bounded search exceeded budget after %d states", res.Stats.Reachability.States)
 	}
 	if res.Holds() {
 		t.Error("CheckCredit decides; bounded search must find the finite violation")
@@ -80,13 +80,13 @@ func TestChildTaskFiniteViolation(t *testing.T) {
 }
 
 func TestChildTaskClosingGuardHolds(t *testing.T) {
-	res := run(t, workflows.OrderFulfillment(false), &Property{
+	res := run(t, workflows.OrderFulfillment(false), &core.Property{
 		Task:    "CheckCredit",
 		Conds:   map[string]fol.Formula{"decided": fol.MustParse(`c_status != null`)},
 		Formula: ltl.MustParse(`G (close(CheckCredit) -> decided)`),
 	})
 	if res.TimedOut() {
-		t.Skipf("bounded search exceeded budget after %d states", res.Stats.States)
+		t.Skipf("bounded search exceeded budget after %d states", res.Stats.Reachability.States)
 	}
 	if !res.Holds() {
 		t.Error("closing guard holds in every domain size")
@@ -98,7 +98,7 @@ func TestTinyBudgetTimesOut(t *testing.T) {
 	if err := sys.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Verify(context.Background(), sys, &Property{
+	res, err := Verify(context.Background(), sys, &core.Property{
 		Task:    "ProcessOrders",
 		Formula: ltl.MustParse(`F open(ShipItem)`),
 	}, Options{Budget: core.Budget{MaxStates: 5}, MaxBranch: 1 << 16})
