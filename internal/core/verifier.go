@@ -276,8 +276,10 @@ func Verify(ctx context.Context, sys *has.System, prop *Property, opts Options) 
 		OnAccelerate: func(anc *vass.Node, _ vass.State) bool {
 			// The tree path from the ancestor to the current node is a
 			// pumpable cycle: every Büchi node on it recurs infinitely
-			// often. If any is accepting, the property is violated
-			// (ω states are inherently repeatedly reachable).
+			// often. Only the ancestor's Büchi node is tested: if it is
+			// accepting, the property is violated (ω states are
+			// inherently repeatedly reachable). An accepting node
+			// elsewhere on the path is left to the RR phase.
 			if opts.SkipRepeatedReachability {
 				return false
 			}

@@ -3,7 +3,6 @@ package symbolic
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"verifas/internal/fol"
 	"verifas/internal/has"
@@ -24,40 +23,6 @@ type CompiledCond struct {
 	Witnesses []ExprID
 	Conjuncts [][]Lit
 	src       fol.Formula
-}
-
-// Extend returns the minimal extensions of tau satisfying the condition:
-// one consistent clone per DNF conjunct, deduplicated. Witness constraints
-// are included; callers project witnesses away afterwards. A nil tau result
-// list means the condition is unsatisfiable in tau.
-func (c *CompiledCond) Extend(tau *Pisotype) []*Pisotype {
-	var out []*Pisotype
-conjuncts:
-	for _, conj := range c.Conjuncts {
-		t := tau.Clone()
-		for _, l := range conj {
-			if l.Neq {
-				if !t.AddNeq(l.A, l.B) {
-					continue conjuncts
-				}
-			} else {
-				if !t.AddEq(l.A, l.B) {
-					continue conjuncts
-				}
-			}
-		}
-		h := t.Hash()
-		for _, prev := range out {
-			if prev.Hash() == h && prev.Equal(t) {
-				continue conjuncts
-			}
-		}
-		if out == nil {
-			out = make([]*Pisotype, 0, len(c.Conjuncts))
-		}
-		out = append(out, t)
-	}
-	return out
 }
 
 // Source returns the original formula (for diagnostics).
@@ -131,11 +96,11 @@ type compiledService struct {
 	name      string
 	ref       ServiceRef
 	pre, post *CompiledCond
-	// propRoots marks, by expression, the roots preserved across the
-	// transition (ȳ).
-	propRoots []bool
-	upd       updateKind
-	relIdx    int
+	// propKeep marks, by expression, the roots preserved across the
+	// transition: ȳ and the property globals.
+	propKeep []bool
+	upd      updateKind
+	relIdx   int
 	// insertPairs map variable roots to slot roots (z̄ → S);
 	// retrievePairs map slot roots to variable roots (S → z̄).
 	insertPairs, retrievePairs []RootPair
@@ -145,9 +110,10 @@ type compiledChild struct {
 	name    string
 	bit     uint32
 	openPre *CompiledCond
-	// returnedRoots marks, by expression, the parent variables havocked
-	// when the child closes.
-	returnedRoots []bool
+	// closeKeep marks, by expression, the roots kept when the child
+	// closes: the state roots and globals except the parent variables the
+	// child returns, which are havocked.
+	closeKeep []bool
 }
 
 // Options configure the compiled transition system.
@@ -188,6 +154,10 @@ type TaskSystem struct {
 	numRelations int
 	relIndex     map[string]int
 	slotRoots    [][]ExprID // per relation, per attribute
+	// stateKeep marks, by expression, the roots surviving a full-state
+	// projection: artifact variables and property globals (constants
+	// survive implicitly).
+	stateKeep []bool
 }
 
 // Succ is one symbolic transition out of a PSI.
@@ -353,16 +323,24 @@ func CompileTask(sys *has.System, task *has.Task, prop PropertyBinding, opts Opt
 		ts.PropNeg[name] = *t[1]
 	}
 
-	// Update pairs and propagation sets.
+	// Projection masks, update pairs and propagation sets.
+	ts.stateKeep = make([]bool, ts.U.NumExprs())
+	for e := range ts.stateKeep {
+		c := ts.U.RootClassOf(ExprID(e))
+		ts.stateKeep[e] = c == StateRoot || c == GlobalRoot
+	}
 	for i, svc := range task.Services {
 		cs := &ts.services[i]
-		cs.propRoots = make([]bool, ts.U.NumExprs())
+		cs.propKeep = make([]bool, ts.U.NumExprs())
+		for e := range cs.propKeep {
+			cs.propKeep[e] = ts.U.RootClassOf(ExprID(e)) == GlobalRoot
+		}
 		for _, y := range svc.Propagate {
 			root, ok := ts.U.Root(y)
 			if !ok {
 				return nil, fmt.Errorf("symbolic: unknown propagated variable %q", y)
 			}
-			cs.propRoots[root] = true
+			cs.propKeep[root] = true
 		}
 		if svc.Update != nil && !opts.IgnoreSets {
 			r := ts.relIndex[svc.Update.Relation]
@@ -384,13 +362,13 @@ func CompileTask(sys *has.System, task *has.Task, prop PropertyBinding, opts Opt
 	}
 	for i, child := range task.Children {
 		cc := &ts.children[i]
-		cc.returnedRoots = make([]bool, ts.U.NumExprs())
+		cc.closeKeep = append([]bool(nil), ts.stateKeep...)
 		for _, pv := range child.ReturnedParentVars() {
 			root, ok := ts.U.Root(pv)
 			if !ok {
 				return nil, fmt.Errorf("symbolic: unknown returned variable %q", pv)
 			}
-			cc.returnedRoots[root] = true
+			cc.closeKeep[root] = false
 		}
 	}
 	return ts, nil
@@ -631,13 +609,6 @@ func dnfC(n cnode, limit int) ([][]Lit, bool) {
 	panic(fmt.Sprintf("symbolic: unknown cnode %T", n))
 }
 
-// keepState reports roots surviving a full-state projection (artifact
-// variables and property globals; constants survive implicitly).
-func (ts *TaskSystem) keepState(root ExprID) bool {
-	c := ts.U.RootClassOf(root)
-	return c == StateRoot || c == GlobalRoot
-}
-
 // Initial returns the initial PSIs of the task's local runs: for the root
 // task, the extensions of the global pre-condition Π; for a non-root task,
 // input variables unconstrained and all other variables null. Artifact
@@ -659,7 +630,9 @@ func (ts *TaskSystem) Initial() []*PSI {
 	bags := make([]Bag, ts.numRelations)
 	var taus []*Pisotype
 	if ts.globalPre != nil {
-		taus = ts.extendToState(ts.globalPre, tau)
+		s := getScratch()
+		taus = ts.extendToState(&s.arena, ts.globalPre, tau)
+		s.put()
 	} else {
 		taus = []*Pisotype{ts.InternType(tau)}
 	}
@@ -693,46 +666,35 @@ func (ts *TaskSystem) ServiceAtoms() map[string]bool {
 	return out
 }
 
-// succScratch is the reusable per-call working set of Successors: the
-// dedup map (hash -> indices into out) and the growing output buffer.
-// Pooling both removes the two dominant allocations of the hot loop;
-// sync.Pool keeps the reuse safe when verifications run concurrently.
-type succScratch struct {
-	seen map[uint64][]int32
-	out  []Succ
-}
-
-var succScratchPool = sync.Pool{
-	New: func() any { return &succScratch{seen: make(map[uint64][]int32, 32)} },
-}
-
 // Successors computes succ(I): every symbolic transition from the PSI by
 // an internal service (children all inactive), a child opening or closing,
-// or the task's own closing service (non-root, children inactive).
+// or the task's own closing service (non-root, children inactive). It is
+// safe for concurrent use.
 func (ts *TaskSystem) Successors(p *PSI) []Succ {
-	scratch := succScratchPool.Get().(*succScratch)
-	out := scratch.out[:0]
-	seen := scratch.seen
-	emit := func(s Succ) {
-		h := s.Next.Key()*31 + uint64(s.Ref.Kind)*7 + uint64(s.Ref.Index)
+	s := getScratch()
+	a := &s.arena
+	out := s.out[:0]
+	seen := s.seen
+	emit := func(succ Succ) {
+		h := succ.Next.Key()*31 + uint64(succ.Ref.Kind)*7 + uint64(succ.Ref.Index)
 		// Single map lookup: the bucket slice is read, scanned and
 		// written back once instead of being rehashed per access.
 		bucket := seen[h]
 		for _, i := range bucket {
-			if prev := &out[i]; prev.Ref == s.Ref && prev.Next.Equal(s.Next) {
+			if prev := &out[i]; prev.Ref == succ.Ref && prev.Next.Equal(succ.Next) {
 				return
 			}
 		}
-		out = append(out, s)
+		out = append(out, succ)
 		seen[h] = append(bucket, int32(len(out)-1))
 	}
 
 	if p.Mask == 0 {
 		for i := range ts.services {
-			ts.internalSuccs(p, &ts.services[i], emit)
+			ts.internalSuccs(a, p, &ts.services[i], emit)
 		}
 		if ts.closePre != nil {
-			for _, t1 := range ts.extendToState(ts.closePre, p.Tau) {
+			for _, t1 := range ts.extendToState(a, ts.closePre, p.Tau) {
 				emit(Succ{
 					Ref:     ServiceRef{Kind: SvcCloseSelf, Name: ts.Task.Name},
 					Next:    NewPSI(t1, p.Bags, p.Mask),
@@ -744,7 +706,7 @@ func (ts *TaskSystem) Successors(p *PSI) []Succ {
 	for i := range ts.children {
 		c := &ts.children[i]
 		if p.Mask&c.bit == 0 {
-			for _, t1 := range ts.extendToState(c.openPre, p.Tau) {
+			for _, t1 := range ts.extendToState(a, c.openPre, p.Tau) {
 				emit(Succ{
 					Ref:  ServiceRef{Kind: SvcOpenChild, Name: c.name, Index: i},
 					Next: NewPSI(t1, p.Bags, p.Mask|c.bit),
@@ -752,9 +714,7 @@ func (ts *TaskSystem) Successors(p *PSI) []Succ {
 			}
 		} else {
 			t1 := ts.Opts.Interner.memoized(memoKey{op: memoCloseChild, fn: c, in: p.Tau}, func() []*Pisotype {
-				return []*Pisotype{ts.InternType(p.Tau.Project(func(root ExprID) bool {
-					return ts.keepState(root) && !c.returnedRoots[root]
-				}))}
+				return []*Pisotype{a.internProjection(ts.Opts.Interner, p.Tau, c.closeKeep)}
 			})[0]
 			emit(Succ{
 				Ref:  ServiceRef{Kind: SvcCloseChild, Name: c.name, Index: i},
@@ -762,23 +722,17 @@ func (ts *TaskSystem) Successors(p *PSI) []Succ {
 			})
 		}
 	}
-	// Hand back an exact-size copy and return the scratch to the pool,
-	// dropping the PSI references it accumulated so pooled buffers do
-	// not pin dead states.
+	// Hand back an exact-size copy and return the scratch to the pool.
 	res := make([]Succ, len(out))
 	copy(res, out)
-	for i := range out {
-		out[i] = Succ{}
-	}
-	scratch.out = out[:0]
-	clear(seen)
-	succScratchPool.Put(scratch)
+	s.out = out
+	s.put()
 	return res
 }
 
-func (ts *TaskSystem) internalSuccs(p *PSI, cs *compiledService, emit func(Succ)) {
+func (ts *TaskSystem) internalSuccs(a *typeArena, p *PSI, cs *compiledService, emit func(Succ)) {
 	pairs := ts.Opts.Interner.memoized(memoKey{op: memoService, fn: cs, in: p.Tau}, func() []*Pisotype {
-		return ts.serviceTypes(cs, p.Tau)
+		return ts.serviceTypes(a, cs, p.Tau)
 	})
 	for i := 0; i < len(pairs); i += 2 {
 		inserted, t3 := pairs[i], pairs[i+1]
@@ -795,11 +749,12 @@ func (ts *TaskSystem) internalSuccs(p *PSI, cs *compiledService, emit func(Succ)
 					continue
 				}
 				merged := ts.Opts.Interner.memoized(memoKey{op: memoRetrieve, fn: cs, in: t3, aux: st.Type}, func() []*Pisotype {
-					t4 := t3.Clone()
-					if !t4.MergeTransported(st.Type, cs.retrievePairs) {
-						return nil
+					var out []*Pisotype
+					if t4 := a.clone(t3); t4.MergeTransported(st.Type, cs.retrievePairs) {
+						out = []*Pisotype{a.intern(ts.Opts.Interner, t4)}
 					}
-					return []*Pisotype{ts.InternType(t4)}
+					a.top--
+					return out
 				})
 				if len(merged) == 0 {
 					continue
@@ -815,51 +770,58 @@ func (ts *TaskSystem) internalSuccs(p *PSI, cs *compiledService, emit func(Succ)
 // serviceTypes computes the type part of an internal service's
 // transitions from tau, as (inserted-tuple type, next type) pairs
 // flattened in emission order; the inserted type is nil unless the
-// service inserts.
-func (ts *TaskSystem) serviceTypes(cs *compiledService, tau *Pisotype) []*Pisotype {
+// service inserts. The intermediate types live in a.
+func (ts *TaskSystem) serviceTypes(a *typeArena, cs *compiledService, tau *Pisotype) []*Pisotype {
 	var out []*Pisotype
-	for _, t0 := range cs.pre.Extend(tau) {
+	mark := a.top
+	for _, t0 := range a.extend(cs.pre, tau) {
+		next := a.top
 		var inserted *Pisotype
 		if cs.upd == updInsert {
-			inserted = t0.TransportProject(cs.insertPairs)
+			inserted = a.transportProject(t0, cs.insertPairs)
 			if inserted == nil {
 				continue
 			}
-			inserted = ts.InternType(inserted)
+			inserted = a.intern(ts.Opts.Interner, inserted)
 		}
 		// Propagate ȳ (plus globals and constants); witnesses drop.
-		t1 := t0.Project(func(root ExprID) bool {
-			if ts.U.RootClassOf(root) == GlobalRoot {
-				return true
-			}
-			return cs.propRoots[root]
-		})
-		for _, t2 := range cs.post.Extend(t1) {
-			out = append(out, inserted, ts.InternType(t2.Project(ts.keepState)))
+		t1 := a.project(t0, cs.propKeep)
+		for _, t2 := range a.extend(cs.post, t1) {
+			out = append(out, inserted, a.internProjection(ts.Opts.Interner, t2, ts.stateKeep))
 		}
+		a.top = next
 	}
+	a.top = mark
 	return out
 }
 
 // extendToState returns the extensions of tau by the condition, projected
-// onto the state roots and interned (memoized).
-func (ts *TaskSystem) extendToState(cc *CompiledCond, tau *Pisotype) []*Pisotype {
+// onto the state roots and interned (memoized); a holds the intermediate
+// types.
+func (ts *TaskSystem) extendToState(a *typeArena, cc *CompiledCond, tau *Pisotype) []*Pisotype {
 	return ts.Opts.Interner.memoized(memoKey{op: memoExtendToState, fn: cc, in: tau}, func() []*Pisotype {
 		var out []*Pisotype
-		for _, t0 := range cc.Extend(tau) {
-			out = append(out, ts.InternType(t0.Project(ts.keepState)))
+		mark := a.top
+		for _, t0 := range a.extend(cc, tau) {
+			out = append(out, a.internProjection(ts.Opts.Interner, t0, ts.stateKeep))
 		}
+		a.top = mark
 		return out
 	})
 }
 
-// ExtendInterned returns the extensions of tau by the condition, each
-// interned (memoized). The result is shared and must not be mutated.
+// ExtendInterned returns the minimal extensions of tau satisfying the
+// condition: one consistent type per DNF conjunct, deduplicated, each
+// interned (memoized). Witness constraints are included. A nil result
+// means the condition is unsatisfiable in tau. The result is shared and
+// must not be mutated. Without an interner every type is a fresh copy.
 func (ts *TaskSystem) ExtendInterned(cc *CompiledCond, tau *Pisotype) []*Pisotype {
 	return ts.Opts.Interner.memoized(memoKey{op: memoExtend, fn: cc, in: tau}, func() []*Pisotype {
-		out := cc.Extend(tau)
-		for i, t := range out {
-			out[i] = ts.InternType(t)
+		s := getScratch()
+		defer s.put()
+		var out []*Pisotype
+		for _, t := range s.arena.extend(cc, tau) {
+			out = append(out, s.arena.intern(ts.Opts.Interner, t))
 		}
 		return out
 	})
@@ -939,8 +901,9 @@ func (ts *TaskSystem) SetFilter(f EdgeFilter) { ts.Opts.Filter = f }
 
 // SetInterner attaches a hash-consing table for the pisotypes retained in
 // states. Like SetFilter it must be called before Initial(). Interning is
-// semantically transparent — every mutating path clones before writing —
-// so it changes only memory retention, never verdicts.
+// semantically transparent — intermediate types are built in a scratch
+// arena and an interned type is never written — so it changes only memory
+// retention, never verdicts.
 func (ts *TaskSystem) SetInterner(in *Interner) { ts.Opts.Interner = in }
 
 // Interner returns the attached intern table (nil when interning is off).

@@ -373,11 +373,11 @@ func TestPropertyConditionsCompile(t *testing.T) {
 	}
 	u := ts.U
 	tau := NewPisotype(u, nil)
-	pos := ts.PropPos["p"].Extend(tau)
+	pos := ts.ExtendInterned(ts.PropPos["p"], tau)
 	if len(pos) != 1 {
 		t.Fatalf("positive extension count = %d, want 1", len(pos))
 	}
-	neg := ts.PropNeg["p"].Extend(tau)
+	neg := ts.ExtendInterned(ts.PropNeg["p"], tau)
 	if len(neg) != 2 {
 		t.Fatalf("negative extension count = %d, want 2 (two disjuncts)", len(neg))
 	}

@@ -1,6 +1,9 @@
 package symbolic
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // Interner is a hash-consing table for pisotypes: structurally equal
 // types (identical canonical edge sets) are collapsed onto one shared
@@ -10,9 +13,11 @@ import "sync"
 // (Pisotype.Equal and Implies take that fast path).
 //
 // Interned types are shared across states and across goroutines and MUST
-// NOT be mutated; every mutating path in this repo clones first
-// (CompiledCond.Extend, MergeTransported callers), so attaching an
-// interner never changes verdicts or traces — only retained bytes.
+// NOT be mutated. Successor generation builds its intermediate types in
+// a pooled typeArena, copying an interned input there before any write,
+// and interns through InternCopy, which clones the arena type it adopts;
+// so attaching an interner never changes verdicts or traces — only
+// retained bytes.
 //
 // The canonical edge slices of interned types are re-homed into chunked
 // []uint64 arena blocks: many small sorted slices become dense segments
@@ -62,6 +67,25 @@ func (in *Interner) Intern(t *Pisotype) *Pisotype {
 	if in == nil || t == nil {
 		return t
 	}
+	return in.intern(t, false)
+}
+
+// InternCopy is Intern for a type the caller goes on to reuse, such as a
+// typeArena type: it retains no memory of t, and adopts a clone of t when
+// t is the first of its class. A nil interner returns a clone.
+func (in *Interner) InternCopy(t *Pisotype) *Pisotype {
+	if t == nil {
+		return nil
+	}
+	if in == nil {
+		return t.Clone()
+	}
+	return in.intern(t, true)
+}
+
+// intern looks t up and on a miss adopts t, or a clone of t when clone is
+// set.
+func (in *Interner) intern(t *Pisotype, clone bool) *Pisotype {
 	// Seal the lazy canon/hash caches before taking the lock (and before
 	// the type can be shared with other goroutines).
 	edges := t.Edges()
@@ -73,6 +97,10 @@ func (in *Interner) Intern(t *Pisotype) *Pisotype {
 			in.hits++
 			return c
 		}
+	}
+	if clone {
+		t = t.cloneUnsealed()
+		t.hash = h
 	}
 	// First of its class: adopt t, re-homing its edge slice into the
 	// arena so the many small canon arrays share big blocks.
@@ -137,15 +165,13 @@ func (in *Interner) memoized(k memoKey, compute func() []*Pisotype) []*Pisotype 
 }
 
 // arenaCopy copies a sealed edge slice into the current arena block,
-// starting a new block when it does not fit. Oversized slices keep their
-// own allocation. Caller holds in.mu.
+// starting a new block when it does not fit. Oversized slices get their
+// own allocation. The copy shares no memory with edges, which may belong
+// to a scratch type. Caller holds in.mu.
 func (in *Interner) arenaCopy(edges []uint64) []uint64 {
 	n := len(edges)
-	if n == 0 {
-		return edges
-	}
-	if n > internBlockWords/2 {
-		return edges
+	if n == 0 || n > internBlockWords/2 {
+		return slices.Clone(edges)
 	}
 	if cap(in.block)-len(in.block) < n {
 		in.block = make([]uint64, 0, internBlockWords)

@@ -247,11 +247,11 @@ func TestConditionSourceAndTrueFalse(t *testing.T) {
 	ts := compileMini(t, Options{})
 	// Extend with an unsatisfiable condition built from a False source.
 	cc := &CompiledCond{Conjuncts: nil}
-	if got := cc.Extend(NewPisotype(ts.U, nil)); got != nil {
+	if got := ts.ExtendInterned(cc, NewPisotype(ts.U, nil)); got != nil {
 		t.Error("false condition must have no extensions")
 	}
 	ccTrue := &CompiledCond{Conjuncts: [][]Lit{{}}}
-	if got := ccTrue.Extend(NewPisotype(ts.U, nil)); len(got) != 1 {
+	if got := ts.ExtendInterned(ccTrue, NewPisotype(ts.U, nil)); len(got) != 1 {
 		t.Error("true condition must have exactly one extension")
 	}
 }

@@ -83,41 +83,77 @@ const typeSlack = 16
 
 // NewPisotype returns the unconstrained type over the universe.
 func NewPisotype(u *Universe, filter EdgeFilter) *Pisotype {
+	t := &Pisotype{}
+	t.reset(u, filter)
+	return t
+}
+
+// reset makes t the unconstrained type over the universe, reusing its
+// slices when they are large enough.
+func (t *Pisotype) reset(u *Universe, filter EdgeFilter) {
 	n := len(u.Exprs)
-	mem := make([]ExprID, n, n+typeSlack)
-	for i := range mem {
-		mem[i] = ExprID(i)
+	mem := t.mem[:0]
+	if cap(mem) < n+typeSlack {
+		mem = make([]ExprID, 0, n+typeSlack)
 	}
-	return &Pisotype{u: u, filter: filter, parent: mem[:n:n], mem: mem}
+	for i := 0; i < n; i++ {
+		mem = append(mem, ExprID(i))
+	}
+	*t = Pisotype{u: u, filter: filter, parent: mem[:n:n], mem: mem, classes: t.classes[:0], neq: t.neq[:0]}
 }
 
 // Universe returns the type's universe.
 func (t *Pisotype) Universe() *Universe { return t.u }
 
-// Clone returns an independent copy.
+// Clone returns an independent copy, which shares no memory with t.
 func (t *Pisotype) Clone() *Pisotype {
+	c := t.cloneUnsealed()
+	c.canon = slices.Clone(t.canon)
+	return c
+}
+
+// cloneUnsealed returns an independent copy without the cached edge set.
+func (t *Pisotype) cloneUnsealed() *Pisotype {
 	c := &Pisotype{
 		u:       t.u,
 		filter:  t.filter,
 		classes: slices.Clone(t.classes),
 		neq:     slices.Clone(t.neq),
-		canon:   t.canon,
 		hash:    t.hash,
 	}
 	c.compact(t, 0)
 	return c
 }
 
-// compact copies src's union-find array and live member lists into a
-// fresh mem for t, with room for extra more members plus typeSlack;
-// t.classes must hold src's records. Member lists that merges replaced
-// are left behind.
+// cloneInto makes dst a copy of t, reusing dst's slices: the clone of a
+// scratch type (see typeArena), which allocates only when one of dst's
+// slices is too small. dst shares t's cached edge set until its first
+// write.
+func (t *Pisotype) cloneInto(dst *Pisotype) {
+	dst.u, dst.filter = t.u, t.filter
+	dst.classes = append(dst.classes[:0], t.classes...)
+	dst.neq = append(dst.neq[:0], t.neq...)
+	dst.canon, dst.hash, dst.owner = t.canon, t.hash, nil
+	dst.compact(t, 0)
+}
+
+// compact copies src's union-find array and live member lists into t's
+// mem, with room for extra more members plus typeSlack; t.classes must
+// hold src's records. Member lists that merges replaced are left behind.
+// The copy reuses t's mem when t is not src and mem is large enough, and
+// goes to a fresh one otherwise.
 func (t *Pisotype) compact(src *Pisotype, extra int) {
 	n, live := len(src.parent), 0
 	for i := range t.classes {
 		live += int(t.classes[i].n)
 	}
-	mem := make([]ExprID, n, n+live+extra+typeSlack)
+	need := n + live + extra + typeSlack
+	var mem []ExprID
+	if t != src && cap(t.mem) >= need {
+		mem = t.mem[:n]
+	} else {
+		mem = make([]ExprID, n, need)
+	}
 	copy(mem, src.parent)
 	for i := range t.classes {
 		c := &t.classes[i]
@@ -515,6 +551,13 @@ func (t *Pisotype) Edges() []uint64 {
 	if t.canon != nil {
 		return t.canon
 	}
+	return t.seal(nil)
+}
+
+// seal computes the canonical edge set into buf's memory when it has room
+// (into a fresh exact-size slice otherwise), caches it with its hash and
+// returns it.
+func (t *Pisotype) seal(buf []uint64) []uint64 {
 	n := 0
 	for i := range t.classes {
 		m := int(t.classes[i].n)
@@ -527,7 +570,10 @@ func (t *Pisotype) Edges() []uint64 {
 	// Never nil, even when empty: the nil sentinel would make every
 	// Edges call recompute and re-write canon/hash, racing once the type
 	// is interned and shared.
-	out := make([]uint64, 0, n)
+	out := buf[:0]
+	if cap(out) < n || out == nil {
+		out = make([]uint64, 0, n)
+	}
 	for i := range t.classes {
 		ms := t.membersAt(t.classes[i].rep, i)
 		for j, a := range ms {
@@ -621,48 +667,77 @@ type RootPair struct {
 // induce equalities between their images. Returns nil if the result is
 // inconsistent (cannot happen for well-typed transports; defensive).
 func (t *Pisotype) TransportProject(pairs []RootPair) *Pisotype {
-	out := NewPisotype(t.u, t.filter)
+	out := &Pisotype{}
+	if !t.transportProjectInto(out, pairs) {
+		return nil
+	}
+	return out
+}
+
+// transportProjectInto makes dst the TransportProject of t, reusing
+// dst's slices. It returns false when the result is inconsistent.
+func (t *Pisotype) transportProjectInto(dst *Pisotype, pairs []RootPair) bool {
+	dst.reset(t.u, t.filter)
 	// Repeated source roots carry the same value into several targets:
 	// make the targets (and hence, by congruence, their navigations)
 	// equal even when the source is otherwise unconstrained.
 	for i := range pairs {
 		for j := i + 1; j < len(pairs); j++ {
 			if pairs[i].From == pairs[j].From {
-				if !out.AddEq(pairs[i].To, pairs[j].To) {
-					return nil
+				if !dst.AddEq(pairs[i].To, pairs[j].To) {
+					return false
 				}
 			}
 		}
 	}
-	if !t.copyConstraints(out, t.u.transportImages(pairs)) {
-		return nil
-	}
-	return out
+	return t.copyConstraints(dst, imageMap{kind: imageTransport, pairs: pairs})
 }
 
-// imageFunc appends the images of an expression under a constraint copy
-// to buf and returns it: zero or more target expressions, which become
-// mutually equal.
-type imageFunc func(e ExprID, buf []ExprID) []ExprID
+// imageKind discriminates the expression mappings of constraint copies.
+type imageKind uint8
 
-// transportImages maps an expression rooted at a pair's From root to the
-// same path under the pair's To root, once per matching pair; constants
-// map to themselves.
-func (u *Universe) transportImages(pairs []RootPair) imageFunc {
-	return func(e ExprID, buf []ExprID) []ExprID {
-		if u.IsConstLike(e) {
-			return append(buf, e)
-		}
-		root := u.RootOf(e)
-		for _, p := range pairs {
-			if p.From == root {
-				if img := u.Transport(e, p.From, p.To); img != NoExpr {
-					buf = append(buf, img)
-				}
-			}
+const (
+	// imageIdentity maps every expression to itself.
+	imageIdentity imageKind = iota
+	// imageProject maps an expression to itself when its root is kept,
+	// and to nothing otherwise.
+	imageProject
+	// imageTransport maps an expression rooted at a pair's From root to
+	// the same path under the pair's To root, once per matching pair.
+	imageTransport
+)
+
+// imageMap is the expression mapping of a constraint copy. Constants and
+// null always map to themselves.
+type imageMap struct {
+	kind imageKind
+	// keep marks, by expression, the roots a projection keeps.
+	keep []bool
+	// pairs are a transport's root pairs.
+	pairs []RootPair
+}
+
+// images appends the images of e to buf and returns it: zero or more
+// target expressions, which become mutually equal.
+func (m *imageMap) images(u *Universe, e ExprID, buf []ExprID) []ExprID {
+	if m.kind == imageIdentity || u.IsConstLike(e) {
+		return append(buf, e)
+	}
+	root := u.RootOf(e)
+	if m.kind == imageProject {
+		if m.keep[root] {
+			buf = append(buf, e)
 		}
 		return buf
 	}
+	for _, p := range m.pairs {
+		if p.From == root {
+			if img := u.Transport(e, p.From, p.To); img != NoExpr {
+				buf = append(buf, img)
+			}
+		}
+	}
+	return buf
 }
 
 // Project keeps only the constraints among expressions whose root
@@ -670,29 +745,37 @@ func (u *Universe) transportImages(pairs []RootPair) imageFunc {
 // congruence-derived constraints among kept expressions survive, because
 // they are queried from the closure rather than copied edge-by-edge.
 func (t *Pisotype) Project(keep func(root ExprID) bool) *Pisotype {
-	out := NewPisotype(t.u, t.filter)
-	images := func(e ExprID, buf []ExprID) []ExprID {
-		if t.u.IsConstLike(e) || keep(t.u.RootOf(e)) {
-			return append(buf, e)
+	mask := make([]bool, len(t.u.Exprs))
+	for e := range mask {
+		if t.u.Exprs[e].Kind == ERoot {
+			mask[e] = keep(ExprID(e))
 		}
-		return buf
 	}
-	if !t.copyConstraints(out, images) {
+	out := &Pisotype{}
+	t.projectInto(out, mask)
+	return out
+}
+
+// projectInto makes dst the projection of t onto the roots keep marks,
+// by expression, reusing dst's slices.
+func (t *Pisotype) projectInto(dst *Pisotype, keep []bool) {
+	dst.reset(t.u, t.filter)
+	if !t.copyConstraints(dst, imageMap{kind: imageProject, keep: keep}) {
 		// Projection of a consistent type is consistent; reaching here
 		// indicates an internal invariant violation.
 		panic("symbolic: projection produced an inconsistent type")
 	}
-	return out
 }
 
 // copyConstraints rebuilds t's constraints in dst under an image mapping.
-func (t *Pisotype) copyConstraints(dst *Pisotype, images imageFunc) bool {
+func (t *Pisotype) copyConstraints(dst *Pisotype, m imageMap) bool {
 	var stack [32]ExprID
-	imgs := make([]ExprID, 0, 4)
+	var buf [8]ExprID
+	imgs := buf[:0]
 	for _, rep := range t.constrainedClasses(stack[:0]) {
 		var prev ExprID = NoExpr
-		for _, m := range t.membersOf(rep) {
-			imgs = images(m, imgs[:0])
+		for _, e := range t.membersOf(rep) {
+			imgs = m.images(t.u, e, imgs[:0])
 			for _, img := range imgs {
 				if prev != NoExpr {
 					if !dst.AddEq(prev, img) {
@@ -707,7 +790,7 @@ func (t *Pisotype) copyConstraints(dst *Pisotype, images imageFunc) bool {
 	// images of one class are now equal in dst.
 	for _, e := range t.neq {
 		ra, rb := edgeEnds(e)
-		a, b := t.firstImage(ra, images, imgs), t.firstImage(rb, images, imgs)
+		a, b := t.firstImage(ra, &m, imgs), t.firstImage(rb, &m, imgs)
 		if a != NoExpr && b != NoExpr {
 			if !dst.AddNeq(a, b) {
 				return false
@@ -719,9 +802,9 @@ func (t *Pisotype) copyConstraints(dst *Pisotype, images imageFunc) bool {
 
 // firstImage returns the first image of the class of rep, or NoExpr;
 // buf is scratch space for images.
-func (t *Pisotype) firstImage(rep ExprID, images imageFunc, buf []ExprID) ExprID {
-	for _, m := range t.membersOf(rep) {
-		if imgs := images(m, buf[:0]); len(imgs) > 0 {
+func (t *Pisotype) firstImage(rep ExprID, m *imageMap, buf []ExprID) ExprID {
+	for _, e := range t.membersOf(rep) {
+		if imgs := m.images(t.u, e, buf[:0]); len(imgs) > 0 {
 			return imgs[0]
 		}
 	}
@@ -733,15 +816,14 @@ func (t *Pisotype) firstImage(rep ExprID, images imageFunc, buf []ExprID) ExprID
 // tuple type back into task variables). Returns false on inconsistency.
 func (t *Pisotype) MergeTransported(src *Pisotype, pairs []RootPair) bool {
 	t.canon = nil
-	return src.copyConstraints(t, src.u.transportImages(pairs))
+	return src.copyConstraints(t, imageMap{kind: imageTransport, pairs: pairs})
 }
 
 // MergeFrom adds all constraints of src (same universe) into t. Returns
 // false on inconsistency.
 func (t *Pisotype) MergeFrom(src *Pisotype) bool {
 	t.canon = nil
-	identity := func(e ExprID, buf []ExprID) []ExprID { return append(buf, e) }
-	return src.copyConstraints(t, identity)
+	return src.copyConstraints(t, imageMap{})
 }
 
 // NumConstraints returns the size of the canonical edge set (a measure of

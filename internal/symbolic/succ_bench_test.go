@@ -68,8 +68,8 @@ func BenchmarkTaskSystemSuccessors(b *testing.B) {
 
 // successorsAllocs is the recorded allocations per plain Successors call
 // over the benchStates pool (go1.24, linux/amd64). The map-based pisotype
-// it replaced made 189.
-const successorsAllocs = 60
+// made 189, the flat one with a fresh allocation per intermediate type 60.
+const successorsAllocs = 20
 
 // TestSuccessorsAllocGuard fails when plain (un-interned) Successors, the
 // successor-type memo's miss path, allocates more than 10% above
