@@ -40,7 +40,7 @@ func compileReach(tb testing.TB, sys *has.System, prop *Property, noInterning bo
 	if err != nil {
 		tb.Fatal(err)
 	}
-	buchi := ltl.TranslateCached(ltl.Not(prop.Formula))
+	buchi := ltl.Translate(ltl.Not(prop.Formula))
 	ts, err := symbolic.CompileTask(sys, task, symbolic.PropertyBinding{
 		Globals: prop.Globals,
 		Conds:   prop.Conds,

@@ -70,7 +70,7 @@ func TestCrossCheckSpinlike(t *testing.T) {
 	// logic below never dispatches on the engine kind again.
 	engines := map[string]core.Engine{
 		"verifas-noset": core.Verifas(core.Options{Budget: core.Budget{MaxStates: 300_000, Timeout: 60 * time.Second}, IgnoreSets: true}),
-		"spinlike":      spinlike.Engine(spinlike.Options{Budget: core.Budget{MaxStates: 150_000, Timeout: 60 * time.Second}, FreshPerSort: 1}),
+		"spinlike":      spinlike.Engine(spinlike.Options{Budget: core.Budget{MaxStates: 150_000, Timeout: 60 * time.Second}}),
 	}
 	for _, buggy := range []bool{false, true} {
 		sys := workflows.OrderFulfillment(buggy)
@@ -131,7 +131,7 @@ func TestCrossCheckSynthetic(t *testing.T) {
 		} {
 			prop := &core.Property{Task: sys.Root.Name, Formula: f}
 			verifas := core.Verifas(core.Options{Budget: core.Budget{MaxStates: 100_000, Timeout: 20 * time.Second}, IgnoreSets: true})
-			bounded := spinlike.Engine(spinlike.Options{Budget: core.Budget{MaxStates: 60_000, Timeout: 20 * time.Second}, FreshPerSort: 1, MaxBranch: 1 << 15})
+			bounded := spinlike.Engine(spinlike.Options{Budget: core.Budget{MaxStates: 60_000, Timeout: 20 * time.Second}})
 			vres, err := verifas.Verify(context.Background(), sys, prop)
 			if err != nil {
 				t.Fatal(err)

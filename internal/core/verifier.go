@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"verifas/internal/fol"
@@ -165,8 +164,8 @@ func (r *Result) BudgetExhausted() bool { return r.Verdict == VerdictBudget }
 // Verify checks that every local run of the property's task satisfies the
 // property (paper Section 3). The system must already be validated.
 //
-// Cancellation contract: the search polls ctx cooperatively in its hot
-// loops. If ctx is cancelled, Verify returns promptly with ctx.Err() and a
+// Cancellation contract: the property translation and the search poll
+// ctx cooperatively in their hot loops. If ctx is cancelled, Verify returns promptly with ctx.Err() and a
 // nil Result (no Verdict event is emitted). If ctx's deadline or
 // opts.Timeout expires (or MaxStates is exhausted), Verify returns a
 // Result with VerdictTimedOut and a nil error. A nil ctx is treated as
@@ -183,6 +182,11 @@ func Verify(ctx context.Context, sys *has.System, prop *Property, opts Options) 
 	if err != nil {
 		return nil, err
 	}
+	if opts.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, opts.Timeout)
+		defer cancel()
+	}
 
 	em := newEmitter(opts)
 	res := &Result{}
@@ -196,18 +200,24 @@ func Verify(ctx context.Context, sys *has.System, prop *Property, opts Options) 
 		return res, nil
 	}
 
-	// ---- Compile: Büchi automaton of the NEGATED property (memoized:
-	// benchmark suites re-translate the same formula once per verifier
-	// variant) plus the task's symbolic semantics with the property bound.
+	// ---- Compile: Büchi automaton of the NEGATED property, translated
+	// under the run's ctx, plus the task's symbolic semantics with the
+	// property bound.
 	compileStart := time.Now()
 	em.phaseStart(PhaseCompile)
-	buchi := ltl.TranslateCached(ltl.Not(prop.Formula))
-	ts, err := symbolic.CompileTask(sys, task, symbolic.PropertyBinding{
-		Globals: prop.Globals,
-		Conds:   prop.Conds,
-	}, symbolic.Options{IgnoreSets: opts.IgnoreSets})
+	buchi, err := ltl.TranslateContext(ctx, ltl.Not(prop.Formula))
+	var ts *symbolic.TaskSystem
+	if err == nil {
+		ts, err = symbolic.CompileTask(sys, task, symbolic.PropertyBinding{
+			Globals: prop.Globals,
+			Conds:   prop.Conds,
+		}, symbolic.Options{IgnoreSets: opts.IgnoreSets})
+	}
 	em.phaseEnd(PhaseCompile, PhaseStats{Elapsed: time.Since(compileStart)})
-	if err != nil {
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
+		return finish(VerdictTimedOut)
+	case err != nil:
 		return nil, err
 	}
 
@@ -231,11 +241,6 @@ func Verify(ctx context.Context, sys *has.System, prop *Property, opts Options) 
 	maxStates := opts.MaxStates
 	if maxStates <= 0 {
 		maxStates = DefaultMaxStates
-	}
-	if opts.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.Timeout)
-		defer cancel()
 	}
 
 	// ---- Phase 1: reachability with on-the-fly violation detection.
@@ -360,38 +365,23 @@ func internerExtra(ts *symbolic.TaskSystem) func() int64 {
 // resolved task. It is the exact pre-flight check Verify performs, so
 // front ends (the verification service, CLIs) can reject bad requests
 // cheaply before queueing work. Failures wrap ErrUnknownTask or
-// ErrInvalidProperty for errors.Is dispatch; the check is memoized per
-// (system, property signature).
+// ErrInvalidProperty for errors.Is dispatch.
 func ValidateProperty(sys *has.System, prop *Property) (*has.Task, error) {
 	task, ok := sys.Task(prop.Task)
 	if !ok {
 		return nil, fmt.Errorf("core: %w %q", ErrUnknownTask, prop.Task)
 	}
-	if err := validatePropertyCached(sys, task, prop); err != nil {
+	if err := validateProperty(sys, task, prop); err != nil {
 		return nil, err
 	}
 	return task, nil
 }
 
-// validationResult wraps a (possibly nil) validation error for the cache.
-type validationResult struct{ err error }
-
-// validationCache memoizes validateProperty per (system, property
-// signature): the benchmark scheduler validates each (spec, property) pair
-// once per verifier variant, and the check is pure — systems are not
-// mutated after Validate().
-var validationCache sync.Map // validationKey -> validationResult
-
-type validationKey struct {
-	sys *has.System
-	sig string
-}
-
 // PropertySignature renders the property's content deterministically, so
 // that structurally equal properties (rebuilt per suite run, or re-parsed
-// from identical request bodies) compare equal as strings. It is used as
-// the validation-cache key here and as the property component of the
-// verification service's content-addressed result-cache key.
+// from identical request bodies) compare equal as strings. It is the
+// property component of the verification service's content-addressed
+// result-cache key.
 func PropertySignature(prop *Property) string {
 	var sb strings.Builder
 	sb.WriteString(prop.Task)
@@ -409,16 +399,6 @@ func PropertySignature(prop *Property) string {
 		fmt.Fprintf(&sb, "|c:%s=%s", n, fol.String(prop.Conds[n]))
 	}
 	return sb.String()
-}
-
-func validatePropertyCached(sys *has.System, task *has.Task, prop *Property) error {
-	k := validationKey{sys: sys, sig: PropertySignature(prop)}
-	if v, ok := validationCache.Load(k); ok {
-		return v.(validationResult).err
-	}
-	err := validateProperty(sys, task, prop)
-	validationCache.Store(k, validationResult{err: err})
-	return err
 }
 
 // validateProperty type-checks the property against the system and task.

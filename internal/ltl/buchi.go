@@ -1,6 +1,7 @@
 package ltl
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -125,10 +126,16 @@ func boolsEqual(a, b map[string]bool) bool {
 }
 
 // expand implements the GPVW expansion loop (iteratively, to avoid deep
-// recursion on large formulas).
-func (g *gpvw) expand(q *gnode) {
+// recursion on large formulas). The tableau can be exponential in the
+// formula, so the loop polls ctx every 256 pops and stops with ctx.Err().
+func (g *gpvw) expand(ctx context.Context, q *gnode) error {
 	stack := []*gnode{q}
-	for len(stack) > 0 {
+	for pops := 0; len(stack) > 0; pops++ {
+		if pops%256 == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		if len(n.new) == 0 {
@@ -221,6 +228,7 @@ func (g *gpvw) expand(q *gnode) {
 			panic(fmt.Sprintf("ltl: unexpected %T in GPVW input (must be normalized)", eta))
 		}
 	}
+	return nil
 }
 
 func cloneFs(fs []Formula) []Formula {
@@ -276,14 +284,24 @@ func emptySat(f Formula) bool {
 	return false
 }
 
-// Translate builds the Büchi automaton of f via GPVW. The formula is
-// normalized internally; callers pass the property (or its negation) as-is.
+// Translate is TranslateContext without a deadline.
 func Translate(f Formula) *Buchi {
+	b, _ := TranslateContext(context.Background(), f)
+	return b
+}
+
+// TranslateContext builds the Büchi automaton of f via GPVW. The formula
+// is normalized internally; callers pass the property (or its negation)
+// as-is. The construction is exponential in the worst case, so it polls
+// ctx and returns ctx.Err() once ctx is done.
+func TranslateContext(ctx context.Context, f Formula) (*Buchi, error) {
 	nf := Normalize(f)
 	g := &gpvw{}
 	if _, isFalse := nf.(FalseF); !isFalse {
 		root := g.newNode(map[int]bool{-1: true}, []Formula{nf}, map[string]Formula{}, map[string]Formula{}, map[string]bool{})
-		g.expand(root)
+		if err := g.expand(ctx, root); err != nil {
+			return nil, err
+		}
 	}
 
 	// Collect the until subformulas for the GBA acceptance sets.
@@ -395,7 +413,7 @@ func Translate(f Formula) *Buchi {
 				b.Initial = append(b.Initial, i)
 			}
 		}
-		return b
+		return b, nil
 	}
 	// State (i, c) maps to index i*k + c.
 	idx := func(i, c int) int { return i*k + c }
@@ -420,7 +438,7 @@ func Translate(f Formula) *Buchi {
 			b.Initial = append(b.Initial, idx(i, 0))
 		}
 	}
-	return b
+	return b, nil
 }
 
 // NumStates returns the state count.

@@ -17,14 +17,8 @@ func verifyOpts(t *testing.T, sys *has.System, prop *core.Property, opts Options
 	if err := sys.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if opts.FreshPerSort == 0 {
-		opts.FreshPerSort = 2
-	}
 	if opts.MaxStates == 0 {
 		opts.MaxStates = 400000
-	}
-	if opts.MaxBranch == 0 {
-		opts.MaxBranch = 1 << 17
 	}
 	if opts.Timeout == 0 {
 		opts.Timeout = 120 * time.Second

@@ -16,7 +16,7 @@ func TestVerifyPreCancelled(t *testing.T) {
 	prop := &core.Property{Task: "ProcessOrders", Formula: ltl.MustParse(`F close(TakeOrder)`)}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Verify(ctx, sys, prop, Options{FreshPerSort: 2}); !errors.Is(err, context.Canceled) {
+	if _, err := Verify(ctx, sys, prop, Options{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 }
@@ -26,7 +26,7 @@ func TestVerifyCtxDeadlineReportsTimeout(t *testing.T) {
 	prop := &core.Property{Task: "ProcessOrders", Formula: ltl.MustParse(`F close(TakeOrder)`)}
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	res, err := Verify(ctx, sys, prop, Options{FreshPerSort: 2})
+	res, err := Verify(ctx, sys, prop, Options{})
 	if err != nil {
 		t.Fatalf("an expired deadline is a timeout, not an error: %v", err)
 	}

@@ -36,7 +36,7 @@ func TestObserverEvents(t *testing.T) {
 		Task:    "ProcessOrders",
 		Conds:   map[string]fol.Formula{"stocked": fol.MustParse(`instock == "Yes"`)},
 		Formula: ltl.MustParse(`G (open(ShipItem) -> stocked)`),
-	}, Options{Budget: core.Budget{MaxStates: 400000, Timeout: 120 * time.Second, Observer: rec, ProgressStride: 1}, FreshPerSort: 2, MaxBranch: 1 << 17})
+	}, Options{Budget: core.Budget{MaxStates: 400000, Timeout: 120 * time.Second, Observer: rec, ProgressStride: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestEngineAdapter(t *testing.T) {
 	if err := sys.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	eng := Engine(Options{Budget: core.Budget{MaxStates: 400000, Timeout: 120 * time.Second}, FreshPerSort: 2, MaxBranch: 1 << 17})
+	eng := Engine(Options{Budget: core.Budget{MaxStates: 400000, Timeout: 120 * time.Second}})
 	res, err := eng.Verify(context.Background(), sys, &core.Property{
 		Task:    "ProcessOrders",
 		Conds:   map[string]fol.Formula{"stocked": fol.MustParse(`instock == "Yes"`)},

@@ -130,7 +130,7 @@ func (c *checker) satisfySeq(fs []fol.Formula, nu fol.MapValuation, rows *rowMap
 		var next []*rowMap
 		for _, alt := range alts {
 			next = append(next, c.satisfy(f, false, nu, alt)...)
-			if len(next) > c.opts.MaxBranch {
+			if len(next) > maxBranch {
 				c.overflow = true
 				return nil
 			}
@@ -147,7 +147,7 @@ func (c *checker) satisfyUnion(fs []fol.Formula, nu fol.MapValuation, rows *rowM
 	var out []*rowMap
 	for _, f := range fs {
 		out = append(out, c.satisfy(f, false, nu, rows)...)
-		if len(out) > c.opts.MaxBranch {
+		if len(out) > maxBranch {
 			c.overflow = true
 			return nil
 		}
@@ -176,7 +176,7 @@ func (c *checker) satisfyExists(g fol.Exists, nu fol.MapValuation, rows *rowMap)
 	for _, cand := range cands {
 		inner[v.Name] = cand
 		out = append(out, c.satisfy(rest, false, inner, rows)...)
-		if len(out) > c.opts.MaxBranch {
+		if len(out) > maxBranch {
 			c.overflow = true
 			return nil
 		}
@@ -297,7 +297,7 @@ func (c *checker) satisfyRel(g fol.Rel, neg bool, nu fol.MapValuation, rows *row
 			continue
 		}
 		out = append(out, rows.with(k, false, tuple))
-		if len(out) > c.opts.MaxBranch {
+		if len(out) > maxBranch {
 			c.overflow = true
 			return nil
 		}
@@ -395,7 +395,7 @@ func (c *checker) hasSuccs(s *st, gv fol.MapValuation) []succ {
 				out = append(out, succ{atom: "close:" + ch.Name, s: ns})
 			}
 		}
-		if len(out) > c.opts.MaxBranch {
+		if len(out) > maxBranch {
 			c.overflow = true
 			return nil
 		}
@@ -432,7 +432,7 @@ func (c *checker) internalSuccs(s *st, svc *has.Service, nu fol.MapValuation, gv
 			for _, rows2 := range c.satisfy(post, false, nnu, rows) {
 				ns := &st{vals: vals, mask: s.mask, rows: rows2}
 				out = append(out, succ{atom: "call:" + svc.Name, s: ns})
-				if len(out) > c.opts.MaxBranch {
+				if len(out) > maxBranch {
 					c.overflow = true
 					return nil
 				}
@@ -467,7 +467,7 @@ func (c *checker) havoc(vals map[string]fol.Value, names []string) []map[string]
 				nv[name] = cand
 				next = append(next, nv)
 			}
-			if len(next) > c.opts.MaxBranch {
+			if len(next) > maxBranch {
 				c.overflow = true
 				return nil
 			}
@@ -508,7 +508,7 @@ func (c *checker) productSuccs(s *st, gv fol.MapValuation) []*st {
 				x.closed = hs.closing
 			}
 			out = append(out, ns...)
-			if len(out) > c.opts.MaxBranch {
+			if len(out) > maxBranch {
 				c.overflow = true
 				return nil
 			}

@@ -24,6 +24,7 @@ package spinlike
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -52,9 +53,6 @@ import (
 //     ProgressStride is the interned-state stride between snapshots.
 type Options struct {
 	core.Budget
-	// FreshPerSort is k, the number of abstract values/identifiers per
-	// sort beyond the named constants (default 2).
-	FreshPerSort int
 	// Bitstate replaces the exact state table (which retains every
 	// state's full serialized key) with a double-64-bit-hash table:
 	// dramatically less memory per state, at the cost of LOSSY coverage —
@@ -64,10 +62,16 @@ type Options struct {
 	// fabricated. Off by default; engines that enable it declare
 	// Caps().Lossy so portfolio mode never lets their "holds" decide.
 	Bitstate bool
-	// MaxBranch caps the nondeterministic branching of one transition
-	// (assignment × row-materialization choices); exceeding it aborts.
-	MaxBranch int
 }
+
+const (
+	// freshPerSort is k, the number of abstract values/identifiers per
+	// sort beyond the named constants.
+	freshPerSort = 2
+	// maxBranch caps the nondeterministic branching of one transition
+	// (assignment × row-materialization choices); exceeding it aborts.
+	maxBranch = 1 << 16
+)
 
 // rowKey identifies an abstract database row.
 type rowKey struct {
@@ -131,7 +135,7 @@ type checker struct {
 	overflow bool
 	// memBudget/memBytes implement MaxMemBytes: estimated retained bytes
 	// of the per-valuation state tables. budgetHit records that overflow
-	// was forced by the memory budget (not MaxStates/MaxBranch), turning
+	// was forced by the memory budget (not MaxStates/maxBranch), turning
 	// the verdict into core.VerdictBudget.
 	memBudget int64
 	memBytes  int64
@@ -172,11 +176,11 @@ func (c *checker) emitProgress(frontier int, force bool) {
 // budget ran out first. The whole nested DFS is reported as the
 // reachability phase of Result.Stats.
 //
-// Cancellation contract (mirrors core.Verify): the nested DFS polls ctx
-// cooperatively. A cancelled ctx makes Verify return promptly with
-// ctx.Err(); an expired deadline (ctx's or opts.Timeout, whichever fires
-// first) is reported as Result.TimedOut with a nil error. A nil ctx is
-// treated as context.Background().
+// Cancellation contract (mirrors core.Verify): the property translation
+// and the nested DFS poll ctx cooperatively. A cancelled ctx makes Verify
+// return promptly with ctx.Err(); an expired deadline (ctx's or
+// opts.Timeout, whichever fires first) is reported as Result.TimedOut
+// with a nil error. A nil ctx is treated as context.Background().
 func Verify(ctx context.Context, sys *has.System, prop *core.Property, opts Options) (*core.Result, error) {
 	start := time.Now()
 	if ctx == nil {
@@ -185,14 +189,8 @@ func Verify(ctx context.Context, sys *has.System, prop *core.Property, opts Opti
 	if err := ctx.Err(); err == context.Canceled {
 		return nil, err
 	}
-	if opts.FreshPerSort <= 0 {
-		opts.FreshPerSort = 2
-	}
 	if opts.MaxStates <= 0 {
 		opts.MaxStates = 200000
-	}
-	if opts.MaxBranch <= 0 {
-		opts.MaxBranch = 1 << 16
 	}
 	task, ok := sys.Task(prop.Task)
 	if !ok {
@@ -216,7 +214,6 @@ func Verify(ctx context.Context, sys *has.System, prop *core.Property, opts Opti
 		sys:       sys,
 		task:      task,
 		prop:      prop,
-		buchi:     ltl.TranslateCached(ltl.Not(prop.Formula)),
 		opts:      opts,
 		idDom:     map[string][]fol.Value{},
 		budget:    opts.MaxStates,
@@ -252,11 +249,11 @@ func Verify(ctx context.Context, sys *has.System, prop *core.Property, opts Opti
 	for _, s := range cs {
 		c.valDom = append(c.valDom, fol.ConstValue(s))
 	}
-	for i := 0; i < opts.FreshPerSort; i++ {
+	for i := 0; i < freshPerSort; i++ {
 		c.valDom = append(c.valDom, fol.ConstValue(fmt.Sprintf("\x00d%d", i)))
 	}
 	for _, rel := range sys.Schema.Relations {
-		for i := 0; i < opts.FreshPerSort; i++ {
+		for i := 0; i < freshPerSort; i++ {
 			c.idDom[rel.Name] = append(c.idDom[rel.Name], fol.IDValue(rel.Name, i))
 		}
 	}
@@ -271,8 +268,16 @@ func Verify(ctx context.Context, sys *has.System, prop *core.Property, opts Opti
 		c.svcAtoms["open:"+ch.Name] = true
 		c.svcAtoms["close:"+ch.Name] = true
 	}
+	var err error
+	c.buchi, err = ltl.TranslateContext(ctx, ltl.Not(prop.Formula))
 	if obs != nil {
 		obs.PhaseEnd(core.PhaseCompile, core.PhaseStats{Elapsed: time.Since(compileStart)})
+	}
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
+		return c.finish(core.VerdictTimedOut, start), nil
+	case err != nil:
+		return nil, err
 	}
 
 	// ∀ globals: enumerate global valuations; the property holds iff it
@@ -297,30 +302,37 @@ func Verify(ctx context.Context, sys *has.System, prop *core.Property, opts Opti
 			return nil, err
 		}
 	}
-	res := &core.Result{Verdict: core.VerdictHolds}
+	v := core.VerdictHolds
 	switch {
 	case budgetHit:
-		res.Verdict = core.VerdictBudget
+		v = core.VerdictBudget
 	case timedOut:
-		res.Verdict = core.VerdictTimedOut
+		v = core.VerdictTimedOut
 	case violated:
-		res.Verdict = core.VerdictViolated
+		v = core.VerdictViolated
 	}
+	return c.finish(v, start), nil
+}
+
+// finish seals the run started at start: the verdict, the whole run's
+// stats reported as its reachability phase, and the terminal Verdict
+// event.
+func (c *checker) finish(v core.Verdict, start time.Time) *core.Result {
 	elapsed := time.Since(start)
-	res.Stats = core.Stats{
+	res := &core.Result{Verdict: v, Stats: core.Stats{
 		Reachability: core.PhaseStats{
 			States:   c.interned,
 			Elapsed:  elapsed,
 			MemBytes: c.memBytes,
 		},
 		Elapsed:         elapsed,
-		TimedOut:        res.Verdict == core.VerdictTimedOut,
-		BudgetExhausted: res.Verdict == core.VerdictBudget,
+		TimedOut:        v == core.VerdictTimedOut,
+		BudgetExhausted: v == core.VerdictBudget,
+	}}
+	if c.obs != nil {
+		c.obs.Verdict(core.VerdictEvent{Verdict: v, Stats: res.Stats})
 	}
-	if obs != nil {
-		obs.Verdict(core.VerdictEvent{Verdict: res.Verdict, Stats: res.Stats})
-	}
-	return res, nil
+	return res
 }
 
 // checkAllGlobals checks the property for every global valuation, in

@@ -17,7 +17,7 @@ func run(t *testing.T, sys *has.System, prop *core.Property) *core.Result {
 	if err := sys.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Verify(context.Background(), sys, prop, Options{Budget: core.Budget{MaxStates: 400000, Timeout: 120 * time.Second}, FreshPerSort: 2, MaxBranch: 1 << 17})
+	res, err := Verify(context.Background(), sys, prop, Options{Budget: core.Budget{MaxStates: 400000, Timeout: 120 * time.Second}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestTinyBudgetTimesOut(t *testing.T) {
 	res, err := Verify(context.Background(), sys, &core.Property{
 		Task:    "ProcessOrders",
 		Formula: ltl.MustParse(`F open(ShipItem)`),
-	}, Options{Budget: core.Budget{MaxStates: 5}, MaxBranch: 1 << 16})
+	}, Options{Budget: core.Budget{MaxStates: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
