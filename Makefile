@@ -15,11 +15,11 @@ check:
 		echo "gofmt needed:"; echo "$$fmt"; exit 1; fi
 
 # Race-detector pass over the concurrent packages: the suite and job
-# pools, portfolio racing, the pooled successor scratch and the
-# successor-type memo, the service, the store, the fleet and the CLI's
-# -j worker pool.
+# pools, portfolio racing, engine construction from concurrent jobs,
+# the pooled successor scratch and the successor-type memo, the
+# service, the store, the fleet and the CLI's -j worker pool.
 race:
-	$(GO) test -race -short ./internal/core/... ./internal/benchmark/... ./internal/symbolic/... ./internal/vass/... ./internal/spinlike/... ./internal/service/... ./internal/store/... ./internal/fleet/... ./cmd/verifas/
+	$(GO) test -race -short ./internal/core/... ./internal/engines/... ./internal/benchmark/... ./internal/symbolic/... ./internal/vass/... ./internal/spinlike/... ./internal/service/... ./internal/store/... ./internal/fleet/... ./cmd/verifas/
 
 # Fleet soak under the race detector: 3 replicas behind the router,
 # 1000 jobs over 50 keys with a mid-run replica kill+restart, asserting

@@ -6,7 +6,7 @@
 //
 // The specification file uses the textual format of internal/spec and may
 // contain any number of property blocks; by default every property is
-// verified. -engine names the engine (any engine registry name: "verifas",
+// verified. -engine names the engine (any built-in engine name: "verifas",
 // its ablations such as "verifas-nosp", "spinlike", ...); -engines races
 // several per property. With -j N, up to N properties are verified
 // concurrently (cooperatively cancellable with Ctrl-C); reports are still

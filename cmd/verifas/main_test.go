@@ -30,7 +30,7 @@ func statesOf(t *testing.T, out, prop string) string {
 	return m[1]
 }
 
-// TestEngineSelectsRegistryEngine: -engine runs the named registry
+// TestEngineSelectsRegistryEngine: -engine runs the named built-in
 // engine, not full VERIFAS under another label.
 func TestEngineSelectsRegistryEngine(t *testing.T) {
 	code, out, errOut := runCLI(t, "-engine", "verifas", "-prop", "ship_only_in_stock", orderSpec)

@@ -23,7 +23,7 @@ func TestTable2Driver(t *testing.T) {
 	real := RealSuite()[:2]
 	synth := SyntheticSuite(1, 21)
 	out := Table2(context.Background(), real, synth, tinyCfg())
-	// Row labels are registry names; the trailing space keeps "verifas"
+	// Row labels are engine names; the trailing space keeps "verifas"
 	// from matching inside "verifas-noset".
 	for _, want := range []string{"spinlike ", "verifas-noset ", "verifas ", "#Fail"} {
 		if !strings.Contains(out, want) {

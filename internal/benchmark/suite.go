@@ -140,7 +140,7 @@ type Config struct {
 	// ProgressStride overrides the state-count stride between Progress
 	// events (0 = core.DefaultProgressStride).
 	ProgressStride int
-	// Engines is the portfolio contender list (registry names, tie-break
+	// Engines is the portfolio contender list (engine names, tie-break
 	// order) used by the VPortfolio verifier; empty means the default
 	// portfolio (verifas + spinlike). All contenders share one budget
 	// derived from Timeout/MaxStates/MaxMemBytes.
@@ -195,7 +195,7 @@ func (r Run) Winner() string {
 // Holds reports whether the run's verdict was VerdictHolds.
 func (r Run) Holds() bool { return r.Verdict == core.VerdictHolds }
 
-// Verifier names are engine registry names (engines.Names), plus
+// Verifier names are the built-in engine names (engines.Names), plus
 // VPortfolio for the Config.Engines race.
 const (
 	VVerifas      = "verifas"
@@ -222,7 +222,7 @@ func (cfg Config) budget(maxStates int, obs core.Observer) core.Budget {
 }
 
 // Engine resolves a verifier name into a core.Engine with the config's
-// budgets and the given observer attached. Any engine registry name is
+// budgets and the given observer attached. Any built-in engine name is
 // a verifier name: the spinlike ones run under SpinMaxStates, the rest
 // under MaxStates. VPortfolio races the Config.Engines contenders under
 // MaxStates (the observer then sees the portfolio-level stream, not the

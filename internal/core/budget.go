@@ -3,10 +3,10 @@ package core
 import "time"
 
 // Budget holds the resource knobs and instrumentation hooks shared by
-// every engine (the VERIFAS core, the spin-like baseline, and any future
-// registrant). core.Options and spinlike.Options embed it, so portfolio
-// mode and the service apply one budget uniformly across heterogeneous
-// engines instead of copying fields one by one. None of these fields
+// every engine (the VERIFAS core and the spin-like baseline).
+// core.Options and spinlike.Options embed it, so portfolio mode and the
+// service apply one budget uniformly across heterogeneous engines
+// instead of copying fields one by one. None of these fields
 // contribute to the engine name: they change how long a run may take,
 // never what it concludes.
 type Budget struct {
@@ -33,12 +33,4 @@ type Budget struct {
 	// ProgressStride is the state-count stride between Progress events
 	// (0 = DefaultProgressStride). Ignored without an Observer.
 	ProgressStride int
-}
-
-// WithObserver returns a copy of the budget with the observer replaced.
-// Convenience for fan-out sites that build one budget and attach a
-// per-run observer.
-func (b Budget) WithObserver(o Observer) Budget {
-	b.Observer = o
-	return b
 }

@@ -7,12 +7,6 @@ import (
 	"verifas/internal/has"
 )
 
-// Verifier is the bare function signature shared by all engines: verify
-// one property of a validated system. It survives as the payload type of
-// VerifierFunc; engine-generic code (the benchmark suite, the service,
-// the portfolio racer) dispatches through the Engine interface instead.
-type Verifier func(ctx context.Context, sys *has.System, prop *Property) (*Result, error)
-
 // Capabilities describe an engine's decisiveness caveats. They exist so
 // portfolio mode (VerifyPortfolio) can decide which verdicts settle a
 // race: a bounded or lossy "holds" must never beat an exact engine, and
@@ -63,9 +57,9 @@ func (c Capabilities) Decisive(v Verdict, mismatch bool) bool {
 	}
 }
 
-// Engine is a named verifier with declared capabilities. It replaces the
-// bare Verifier func type as the unit the registry, the benchmark
-// dispatch, the service and portfolio mode operate on.
+// Engine is a named verifier with declared capabilities: the unit the
+// engine table, the benchmark dispatch, the service and portfolio mode
+// operate on.
 type Engine interface {
 	// Name identifies the engine configuration (e.g. "verifas",
 	// "spinlike", "verifas-noset").
@@ -101,7 +95,7 @@ func (f VerifierFunc) Verify(ctx context.Context, sys *has.System, prop *Propert
 type namedEngine struct {
 	name string
 	caps Capabilities
-	run  Verifier
+	run  VerifierFunc
 }
 
 func (e *namedEngine) Name() string       { return e.name }
@@ -112,7 +106,7 @@ func (e *namedEngine) Verify(ctx context.Context, sys *has.System, prop *Propert
 
 // NewEngine builds an Engine from a name, capabilities and a
 // verification function.
-func NewEngine(name string, caps Capabilities, run Verifier) Engine {
+func NewEngine(name string, caps Capabilities, run VerifierFunc) Engine {
 	return &namedEngine{name: name, caps: caps, run: run}
 }
 
@@ -134,7 +128,7 @@ func (o Options) caps() Capabilities {
 	}
 }
 
-// EngineName is the registry spelling of a configuration: "verifas"
+// EngineName is the engine name of a configuration: "verifas"
 // for the full configuration, with "-noset", "-nosp", "-nosa", "-nodss",
 // "-norr" suffixes for each disabled optimization. Budget fields and
 // observers do not contribute.

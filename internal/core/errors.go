@@ -19,7 +19,7 @@ var (
 	// ErrInvalidProperty: the property failed validation against the
 	// system (clashing globals, undefined atoms, ill-typed conditions).
 	ErrInvalidProperty = errors.New("invalid property")
-	// ErrUnknownVariant: an engine name is not in the registry.
+	// ErrUnknownVariant: an engine name is not a built-in engine.
 	ErrUnknownVariant = errors.New("unknown verifier variant")
 )
 

@@ -113,11 +113,6 @@ type PortfolioOptions struct {
 	// decisive verdicts are available simultaneously, the lowest index
 	// wins. Duplicate names are rejected.
 	Engines []Engine
-	// RunAll disables loser cancellation: every engine runs to
-	// completion and every decisive verdict is cross-checked, turning
-	// the run into a differential-testing oracle. The winner is still
-	// the first decisive finisher.
-	RunAll bool
 	// Observer receives the portfolio-level event stream: EngineStart/
 	// EngineDone (if it implements PortfolioObserver) plus one terminal
 	// Verdict event for the merged result. The contenders themselves run
@@ -261,12 +256,10 @@ func VerifyPortfolio(ctx context.Context, sys *has.System, prop *Property, popts
 			}
 			if winner >= 0 {
 				outcomes[winner].Winner = true
-				if !popts.RunAll {
-					for i := range engines {
-						if !completed[i] {
-							canceledByUs[i] = true
-							cancels[i]()
-						}
+				for i := range engines {
+					if !completed[i] {
+						canceledByUs[i] = true
+						cancels[i]()
 					}
 				}
 			}
@@ -404,7 +397,7 @@ func usesArtifactRelations(sys *has.System) bool {
 // The capabilities are the conjunction of the contenders' caveats: the
 // portfolio's decisive verdicts are only as caveated as its least
 // caveated member.
-func PortfolioEngine(contenders []Engine, runAll bool, observer Observer) Engine {
+func PortfolioEngine(contenders []Engine, observer Observer) Engine {
 	names := make([]string, len(contenders))
 	caps := Capabilities{BoundedHolds: true, Lossy: true, IgnoresSets: true}
 	for i, e := range contenders {
@@ -418,7 +411,6 @@ func PortfolioEngine(contenders []Engine, runAll bool, observer Observer) Engine
 	return NewEngine(name, caps, func(ctx context.Context, sys *has.System, prop *Property) (*Result, error) {
 		return VerifyPortfolio(ctx, sys, prop, PortfolioOptions{
 			Engines:  contenders,
-			RunAll:   runAll,
 			Observer: observer,
 		})
 	})

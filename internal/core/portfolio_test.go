@@ -83,65 +83,6 @@ func TestCapabilitiesDecisive(t *testing.T) {
 	}
 }
 
-func TestRegistry(t *testing.T) {
-	r := core.NewRegistry()
-	mk := func(name string) core.Registration {
-		return core.Registration{Name: name, New: func(b core.Budget) core.Engine {
-			return stubEngine(name, core.Capabilities{}, 0, core.VerdictHolds)
-		}}
-	}
-	if err := r.Register(mk("a")); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Register(mk("b")); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Register(mk("a")); err == nil {
-		t.Error("duplicate name accepted")
-	}
-	if err := r.Register(mk("")); err == nil {
-		t.Error("empty name accepted")
-	}
-	if err := r.Register(core.Registration{Name: "nil"}); err == nil {
-		t.Error("nil constructor accepted")
-	}
-	if names := r.Names(); len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Errorf("Names() = %v, want [a b] in registration order", names)
-	}
-	if _, err := r.Build("nope", core.Budget{}); !errors.Is(err, core.ErrUnknownVariant) {
-		t.Errorf("Build(unknown) error = %v, want ErrUnknownVariant", err)
-	}
-	engs, err := r.BuildAll([]string{"b", "a"}, core.Budget{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(engs) != 2 || engs[0].Name() != "b" || engs[1].Name() != "a" {
-		t.Errorf("BuildAll order not preserved: %v, %v", engs[0].Name(), engs[1].Name())
-	}
-	if _, err := r.BuildAll([]string{"a", "a"}, core.Budget{}); err == nil {
-		t.Error("BuildAll accepted a duplicate")
-	}
-
-	vr := core.NewRegistry()
-	core.RegisterVerifas(vr)
-	want := []string{"verifas", "verifas-noset", "verifas-nosp", "verifas-nosa", "verifas-nodss", "verifas-norr"}
-	names := vr.Names()
-	if len(names) != len(want) {
-		t.Fatalf("RegisterVerifas names = %v, want %v", names, want)
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Errorf("RegisterVerifas name[%d] = %q, want %q", i, names[i], want[i])
-		}
-	}
-	if reg, _ := vr.Lookup("verifas-norr"); !reg.Caps.BoundedHolds {
-		t.Error("verifas-norr must declare BoundedHolds")
-	}
-	if reg, _ := vr.Lookup("verifas-noset"); !reg.Caps.IgnoresSets {
-		t.Error("verifas-noset must declare IgnoresSets")
-	}
-}
-
 // TestPortfolioFirstDecisiveWins: the fast decisive engine settles the
 // race, the blocked loser is canceled, and the merged result attributes
 // the win correctly.
@@ -225,7 +166,6 @@ func TestPortfolioDisagreement(t *testing.T) {
 			// decisive verdict.
 			stubEngine("miscompiled", core.Capabilities{}, 0, core.VerdictViolated),
 		},
-		RunAll: true, // differential oracle: never cancel, always cross-check
 	})
 	if !errors.Is(err, core.ErrEngineDisagreement) {
 		t.Fatalf("error = %v, want ErrEngineDisagreement", err)
@@ -350,7 +290,7 @@ func TestPortfolioInputValidation(t *testing.T) {
 func TestPortfolioEngineCaps(t *testing.T) {
 	bounded := stubEngine("a", core.Capabilities{BoundedHolds: true, IgnoresSets: true}, 0, core.VerdictHolds)
 	exact := stubEngine("b", core.Capabilities{}, 0, core.VerdictHolds)
-	pe := core.PortfolioEngine([]core.Engine{bounded, exact}, false, nil)
+	pe := core.PortfolioEngine([]core.Engine{bounded, exact}, nil)
 	if pe.Name() != "portfolio(a+b)" {
 		t.Errorf("name = %q, want portfolio(a+b)", pe.Name())
 	}
@@ -360,7 +300,7 @@ func TestPortfolioEngineCaps(t *testing.T) {
 	allCoarse := core.PortfolioEngine([]core.Engine{
 		stubEngine("c", core.Capabilities{IgnoresSets: true}, 0, core.VerdictHolds),
 		stubEngine("d", core.Capabilities{IgnoresSets: true, BoundedHolds: true}, 0, core.VerdictHolds),
-	}, false, nil)
+	}, nil)
 	if caps := allCoarse.Caps(); !caps.IgnoresSets || caps.BoundedHolds {
 		t.Errorf("caps = %+v, want IgnoresSets only (shared caveat survives)", caps)
 	}

@@ -71,7 +71,7 @@ type product struct {
 // validated: every atom is a service atom or a compiled property
 // condition.
 func newProduct(ts *symbolic.TaskSystem, b *ltl.Buchi, order Order) *product {
-	svcAtoms := ts.ServiceAtoms()
+	svcAtoms := ts.Task.ServiceAtoms()
 	p := &product{ts: ts, buchi: b, order: order, info: make([]buchiStateInfo, len(b.States))}
 	for i := range b.States {
 		st := &b.States[i]

@@ -425,7 +425,7 @@ func validateProperty(sys *has.System, task *has.Task, prop *Property) error {
 	}
 	// Every LTL atom is either a service proposition of the task or a
 	// defined condition.
-	svc := serviceAtomSet(task)
+	svc := task.ServiceAtoms()
 	for _, a := range ltl.Atoms(prop.Formula) {
 		if svc[a] {
 			continue
@@ -435,21 +435,6 @@ func validateProperty(sys *has.System, task *has.Task, prop *Property) error {
 		}
 	}
 	return nil
-}
-
-func serviceAtomSet(task *has.Task) map[string]bool {
-	out := map[string]bool{
-		"open:" + task.Name:  true,
-		"close:" + task.Name: true,
-	}
-	for _, s := range task.Services {
-		out["call:"+s.Name] = true
-	}
-	for _, c := range task.Children {
-		out["open:"+c.Name] = true
-		out["close:"+c.Name] = true
-	}
-	return out
 }
 
 // tracePath renders the tree path to a node as a counterexample prefix.

@@ -1,9 +1,8 @@
-// Package engines wires the built-in verification engines into a
-// core.Registry. It exists above core and spinlike so that neither
-// imports the other: core defines the registry and its own variants,
-// spinlike registers the baseline, and every front end (the service,
-// the benchmark harness, the CLIs) turns engine names into engines
-// through Build, over the one registry assembled here.
+// Package engines is the fixed table of built-in verification engines:
+// the VERIFAS core and its ablation variants, and the bounded Spin-like
+// baseline. It sits above core and spinlike so that neither imports the
+// other, and every front end (the service, the benchmark harness, the
+// CLIs) turns engine names into engines through Build.
 package engines
 
 import (
@@ -21,25 +20,57 @@ import (
 // first).
 var DefaultPortfolio = []string{"verifas", "spinlike"}
 
-// Default returns a fresh registry holding every built-in engine
-// configuration: the VERIFAS core and its ablation variants
-// ("verifas", "verifas-noset", "verifas-nosp", "verifas-nosa",
-// "verifas-nodss", "verifas-norr") plus the bounded
-// baseline ("spinlike", "spinlike-bitstate"). The registry is mutable;
-// callers may add their own registrations on top.
-func Default() *core.Registry {
-	r := core.NewRegistry()
-	core.RegisterVerifas(r)
-	spinlike.Register(r)
-	return r
+// table lists every built-in engine in the order Names reports. Each
+// entry binds a fixed configuration to the per-job budget; budgets (and
+// the observers riding in them) are chosen per job, not per process.
+var table = []struct {
+	name  string
+	build func(core.Budget) core.Engine
+}{
+	{"verifas", verifas(core.Options{})},
+	{"verifas-noset", verifas(core.Options{IgnoreSets: true})},
+	{"verifas-nosp", verifas(core.Options{NoStatePruning: true})},
+	{"verifas-nosa", verifas(core.Options{NoStaticAnalysis: true})},
+	{"verifas-nodss", verifas(core.Options{NoIndexes: true})},
+	{"verifas-norr", verifas(core.Options{SkipRepeatedReachability: true})},
+	{"spinlike", spin(spinlike.Options{})},
+	{"spinlike-bitstate", spin(spinlike.Options{Bitstate: true})},
 }
 
-// builtin is the catalogue Build and Names read; nothing registers into
-// it after package initialization.
-var builtin = Default()
+func verifas(opts core.Options) func(core.Budget) core.Engine {
+	return func(b core.Budget) core.Engine {
+		o := opts
+		o.Budget = b
+		return core.Verifas(o)
+	}
+}
 
-// Names lists the built-in engine names in registration order.
-func Names() []string { return builtin.Names() }
+func spin(opts spinlike.Options) func(core.Budget) core.Engine {
+	return func(b core.Budget) core.Engine {
+		o := opts
+		o.Budget = b
+		return spinlike.Engine(o)
+	}
+}
+
+// Names lists the built-in engine names in table order.
+func Names() []string {
+	out := make([]string, len(table))
+	for i, e := range table {
+		out[i] = e.name
+	}
+	return out
+}
+
+// build constructs one named engine with budget b.
+func build(name string, b core.Budget) (core.Engine, error) {
+	for _, e := range table {
+		if e.name == name {
+			return e.build(b), nil
+		}
+	}
+	return nil, fmt.Errorf("engines: %w %q (known: %v)", core.ErrUnknownVariant, name, Names())
+}
 
 // Build turns engine names into one engine under budget b. One name
 // gives that engine with b. Several names give a portfolio: the
@@ -53,13 +84,22 @@ func Build(names []string, b core.Budget) (core.Engine, error) {
 	case 0:
 		return nil, fmt.Errorf("engines: %w: no engine named (known: %v)", core.ErrUnknownVariant, Names())
 	case 1:
-		return builtin.Build(names[0], b)
+		return build(names[0], b)
 	}
 	observer := b.Observer
 	b.Observer = nil
-	contenders, err := builtin.BuildAll(names, b)
-	if err != nil {
-		return nil, err
+	contenders := make([]core.Engine, len(names))
+	for i, name := range names {
+		for _, prev := range names[:i] {
+			if prev == name {
+				return nil, fmt.Errorf("engines: duplicate engine %q in portfolio", name)
+			}
+		}
+		eng, err := build(name, b)
+		if err != nil {
+			return nil, err
+		}
+		contenders[i] = eng
 	}
-	return core.PortfolioEngine(contenders, false, observer), nil
+	return core.PortfolioEngine(contenders, observer), nil
 }

@@ -3,6 +3,7 @@ package engines_test
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,60 +15,95 @@ import (
 	"verifas/internal/workflows"
 )
 
-func TestDefaultRegistryContents(t *testing.T) {
-	r := engines.Default()
-	names := map[string]bool{}
-	for _, n := range r.Names() {
-		names[n] = true
+// TestEngineTable pins the table: the names in order, and the name and
+// caveats every built engine reports.
+func TestEngineTable(t *testing.T) {
+	want := []struct {
+		name string
+		caps core.Capabilities
+	}{
+		{"verifas", core.Capabilities{}},
+		{"verifas-noset", core.Capabilities{IgnoresSets: true}},
+		{"verifas-nosp", core.Capabilities{}},
+		{"verifas-nosa", core.Capabilities{}},
+		{"verifas-nodss", core.Capabilities{}},
+		{"verifas-norr", core.Capabilities{BoundedHolds: true}},
+		{"spinlike", core.Capabilities{BoundedHolds: true, IgnoresSets: true}},
+		{"spinlike-bitstate", core.Capabilities{BoundedHolds: true, IgnoresSets: true, Lossy: true}},
 	}
-	for _, want := range []string{
-		"verifas", "verifas-noset", "verifas-nosp", "verifas-nosa",
-		"verifas-nodss", "verifas-norr",
-		"spinlike", "spinlike-bitstate",
-	} {
-		if !names[want] {
-			t.Errorf("default registry missing %q (have %v)", want, r.Names())
+	names := engines.Names()
+	if len(names) != len(want) {
+		t.Fatalf("Names() = %v, want %d engines", names, len(want))
+	}
+	for i, w := range want {
+		if names[i] != w.name {
+			t.Errorf("Names()[%d] = %q, want %q", i, names[i], w.name)
+		}
+		eng, err := engines.Build([]string{w.name}, core.Budget{})
+		if err != nil {
+			t.Fatalf("build %q: %v", w.name, err)
+		}
+		if eng.Name() != w.name || eng.Caps() != w.caps {
+			t.Errorf("engine %q reports Name() = %q, Caps() = %+v; want caps %+v", w.name, eng.Name(), eng.Caps(), w.caps)
 		}
 	}
+	known := map[string]bool{}
+	for _, n := range names {
+		known[n] = true
+	}
 	for _, n := range engines.DefaultPortfolio {
-		if !names[n] {
+		if !known[n] {
 			t.Errorf("DefaultPortfolio names unknown engine %q", n)
 		}
 	}
-	// Registered caveats must match what the built engines report.
-	for _, n := range r.Names() {
-		reg, _ := r.Lookup(n)
-		eng, err := r.Build(n, core.Budget{})
+}
+
+// TestBuildConcurrent builds every engine from many goroutines at once,
+// as the daemon's job pool does; run it under -race.
+func TestBuildConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for _, n := range engines.Names() {
+				if _, err := engines.Build([]string{n}, core.Budget{MaxStates: i + 1}); err != nil {
+					t.Error(err)
+				}
+			}
+			if _, err := engines.Build(engines.DefaultPortfolio, core.Budget{MaxStates: i + 1}); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	wg.Wait()
+}
+
+// TestInvalidPropertyEveryEngine: a property atom that is neither a
+// service nor a defined condition is rejected by every engine, not
+// explored under an undefined proposition.
+func TestInvalidPropertyEveryEngine(t *testing.T) {
+	sys, prop := buildProperty(t)
+	prop.Conds = nil
+	for _, n := range engines.Names() {
+		eng, err := engines.Build([]string{n}, core.Budget{MaxStates: 1000, Timeout: 10 * time.Second})
 		if err != nil {
-			t.Fatalf("build %q: %v", n, err)
+			t.Fatal(err)
 		}
-		if eng.Name() != n {
-			t.Errorf("engine %q reports Name() = %q", n, eng.Name())
-		}
-		if eng.Caps() != reg.Caps {
-			t.Errorf("engine %q: built caps %+v != registered caps %+v", n, eng.Caps(), reg.Caps)
+		if _, err := eng.Verify(context.Background(), sys, prop); !errors.Is(err, core.ErrInvalidProperty) {
+			t.Errorf("%s: err = %v, want core.ErrInvalidProperty", n, err)
 		}
 	}
 }
 
 // TestPortfolioMatchesSingleEngine runs the default portfolio on a real
 // workflow property and checks the merged verdict against the exact
-// engine run alone — the ISSUE's end-to-end acceptance criterion.
+// engine run alone.
 func TestPortfolioMatchesSingleEngine(t *testing.T) {
-	sys := workflows.OrderFulfillment(false)
-	if err := sys.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	prop := &core.Property{
-		Name:    "guard",
-		Task:    "ProcessOrders",
-		Conds:   map[string]fol.Formula{"stocked": fol.MustParse(`instock == "Yes"`)},
-		Formula: ltl.MustParse(`G (open(ShipItem) -> stocked)`),
-	}
+	sys, prop := buildProperty(t)
 	budget := core.Budget{MaxStates: 400_000, Timeout: 120 * time.Second}
-	r := engines.Default()
 
-	solo, err := r.Build("verifas", budget)
+	solo, err := engines.Build([]string{"verifas"}, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,11 +115,11 @@ func TestPortfolioMatchesSingleEngine(t *testing.T) {
 		t.Skipf("solo run exhausted its budget after %d states", want.Stats.StatesExplored())
 	}
 
-	contenders, err := r.BuildAll(engines.DefaultPortfolio, budget)
+	portfolio, err := engines.Build(engines.DefaultPortfolio, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := core.VerifyPortfolio(context.Background(), sys, prop, core.PortfolioOptions{Engines: contenders})
+	got, err := portfolio.Verify(context.Background(), sys, prop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,19 +191,16 @@ func TestBuildOne(t *testing.T) {
 		t.Errorf("observer saw %d phases and %d verdicts, want phases and one verdict", rec.phases, rec.verdicts)
 	}
 
-	ref, err := engines.Default().Build("verifas-nosp", core.Budget{MaxStates: 100_000})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := core.Verifas(core.Options{NoStatePruning: true, Budget: core.Budget{MaxStates: 100_000}})
 	want, err := ref.Verify(context.Background(), sys, prop)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ref.Name() != eng.Name() || ref.Caps() != eng.Caps() {
-		t.Errorf("list engine %q %+v, registry engine %q %+v", eng.Name(), eng.Caps(), ref.Name(), ref.Caps())
+		t.Errorf("built engine %q %+v, direct engine %q %+v", eng.Name(), eng.Caps(), ref.Name(), ref.Caps())
 	}
 	if res.Verdict != want.Verdict || res.Stats.StatesExplored() != want.Stats.StatesExplored() {
-		t.Errorf("list engine: %v after %d states; registry engine: %v after %d states",
+		t.Errorf("built engine: %v after %d states; direct engine: %v after %d states",
 			res.Verdict, res.Stats.StatesExplored(), want.Verdict, want.Stats.StatesExplored())
 	}
 }

@@ -254,6 +254,25 @@ func (t *Task) ReturnedParentVars() []string {
 	return out
 }
 
+// ServiceAtoms returns the LTL atom names of the task's observable
+// services: its own opening and closing, its internal services
+// ("call:S") and the opening and closing of its children. A property's
+// atoms are these plus its defined conditions.
+func (t *Task) ServiceAtoms() map[string]bool {
+	out := map[string]bool{
+		"open:" + t.Name:  true,
+		"close:" + t.Name: true,
+	}
+	for _, s := range t.Services {
+		out["call:"+s.Name] = true
+	}
+	for _, c := range t.Children {
+		out["open:"+c.Name] = true
+		out["close:"+c.Name] = true
+	}
+	return out
+}
+
 // System is a complete HAS* Γ = (A, Σ, Π).
 type System struct {
 	Name   string

@@ -109,7 +109,7 @@ type StatsResponse struct {
 	// MemBudget reports the per-job `mem_budget` option's server default.
 	MemBudget MemBudgetInfo `json:"mem_budget"`
 	// Engines lists the engine labels the built-in dispatch accepts for
-	// the `engine` and `engines` job options, in registration order.
+	// the `engine` and `engines` job options, in engine-table order.
 	// Per-engine portfolio outcome counters (starts, wins, verdicts,
 	// cancellations) appear under Verifier.engines once a portfolio job
 	// has run.

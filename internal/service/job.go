@@ -43,9 +43,9 @@ type SubmitRequest struct {
 // zero value of each field means "server default"; unknown fields are
 // rejected.
 type RequestOptions struct {
-	// Engine selects a single engine by registry name: "verifas"
-	// (default), "spinlike" (the bounded baseline), or any other name in
-	// the built-in registry. The paper's ablations are registry names
+	// Engine selects a single engine by name: "verifas" (default),
+	// "spinlike" (the bounded baseline), or any other built-in engine
+	// name (engines.Names). The paper's ablations are engine names
 	// too ("verifas-noset", "verifas-nosp", "verifas-nosa",
 	// "verifas-nodss", "verifas-norr"), as is "spinlike-bitstate".
 	// Mutually exclusive with Engines.

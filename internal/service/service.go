@@ -1,13 +1,13 @@
 // Package service turns the VERIFAS engines into a long-lived
 // verification server: jobs (spec + LTL-FO property + options) are
 // submitted over HTTP/JSON, executed on a bounded worker pool through the
-// shared core.Engine dispatch — a single engine by registry name (the
-// paper's ablations are names too, such as "verifas-nosp"), or a
-// portfolio racing several registered engines with
-// first-decisive-verdict-wins (the "engines" job option) — observed live
-// through a streaming events endpoint carrying the core.Observer event
-// model, and answered from a content-addressed result cache when an
-// identical job was verified before. Identical in-flight jobs coalesce
+// shared core.Engine dispatch — a single engine by name (the paper's
+// ablations are names too, such as "verifas-nosp"), or a portfolio
+// racing several built-in engines with first-decisive-verdict-wins (the
+// "engines" job option) — observed live through a streaming events
+// endpoint carrying the core.Observer event model, and answered from a
+// content-addressed result cache when an identical job was verified
+// before. Identical in-flight jobs coalesce
 // onto one engine run (singleflight, the only in-flight coalescing
 // layer; in a fleet the router sends each key to one replica); a bounded
 // queue applies admission control (429 + Retry-After on overflow);
@@ -42,8 +42,8 @@ import (
 	"verifas/internal/store"
 )
 
-// EngineVerifas is the engine of jobs that name none. Any name in the
-// built-in engine registry (engines.Names: "verifas" and its ablation
+// EngineVerifas is the engine of jobs that name none. Any built-in
+// engine name (engines.Names: "verifas" and its ablation
 // variants, "spinlike", "spinlike-bitstate") is accepted.
 // EnginePortfolio is the synthesized label of jobs that set the
 // "engines" list.
@@ -53,8 +53,8 @@ const (
 )
 
 // EngineFunc resolves a normalized option set and a per-run observer into
-// a runnable engine. The default (nil) dispatch covers every registry
-// label plus portfolio jobs; tests inject synthetic engines through it.
+// a runnable engine. The default (nil) dispatch covers every built-in
+// engine name plus portfolio jobs; tests inject synthetic engines through it.
 type EngineFunc func(opts EngineOptions, observer core.Observer) (core.Engine, error)
 
 // Config sizes the server. The zero value serves with sensible defaults.

@@ -7,7 +7,7 @@ import (
 	"verifas/internal/has"
 )
 
-// Registry names of the baseline's configurations.
+// Engine names of the baseline's configurations.
 const (
 	// EngineName is the exact bounded baseline.
 	EngineName = "spinlike"
@@ -26,7 +26,7 @@ func (o Options) Caps() core.Capabilities {
 	}
 }
 
-// name is the registry spelling of a configuration.
+// name is the engine name of a configuration.
 func (o Options) name() string {
 	if o.Bitstate {
 		return BitstateEngineName
@@ -41,21 +41,4 @@ func Engine(opts Options) core.Engine {
 	return core.NewEngine(opts.name(), opts.Caps(), func(ctx context.Context, sys *has.System, prop *core.Property) (*core.Result, error) {
 		return Verify(ctx, sys, prop, opts)
 	})
-}
-
-// Register adds the baseline's configurations ("spinlike",
-// "spinlike-bitstate") to an engine registry.
-func Register(r *core.Registry) {
-	for _, opts := range []Options{{}, {Bitstate: true}} {
-		opts := opts
-		r.MustRegister(core.Registration{
-			Name: opts.name(),
-			Caps: opts.Caps(),
-			New: func(b core.Budget) core.Engine {
-				o := opts
-				o.Budget = b
-				return Engine(o)
-			},
-		})
-	}
 }

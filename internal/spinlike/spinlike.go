@@ -174,7 +174,9 @@ func (c *checker) emitProgress(frontier int, force bool) {
 // VerdictViolated is witnessed by a run over the bounded domain, though
 // the result carries no trace; VerdictTimedOut means the state or time
 // budget ran out first. The whole nested DFS is reported as the
-// reachability phase of Result.Stats.
+// reachability phase of Result.Stats. The property is checked first with
+// core.ValidateProperty, so an unknown task or an undefined atom is the
+// same error here as under the VERIFAS engines.
 //
 // Cancellation contract (mirrors core.Verify): the property translation
 // and the nested DFS poll ctx cooperatively. A cancelled ctx makes Verify
@@ -192,9 +194,9 @@ func Verify(ctx context.Context, sys *has.System, prop *core.Property, opts Opti
 	if opts.MaxStates <= 0 {
 		opts.MaxStates = 200000
 	}
-	task, ok := sys.Task(prop.Task)
-	if !ok {
-		return nil, fmt.Errorf("spinlike: %w %q", core.ErrUnknownTask, prop.Task)
+	task, err := core.ValidateProperty(sys, prop)
+	if err != nil {
+		return nil, err
 	}
 	if opts.Timeout > 0 {
 		var cancel context.CancelFunc
@@ -216,6 +218,7 @@ func Verify(ctx context.Context, sys *has.System, prop *core.Property, opts Opti
 		prop:      prop,
 		opts:      opts,
 		idDom:     map[string][]fol.Value{},
+		svcAtoms:  task.ServiceAtoms(),
 		budget:    opts.MaxStates,
 		memBudget: opts.MaxMemBytes,
 		bitstate:  opts.Bitstate,
@@ -257,18 +260,6 @@ func Verify(ctx context.Context, sys *has.System, prop *core.Property, opts Opti
 			c.idDom[rel.Name] = append(c.idDom[rel.Name], fol.IDValue(rel.Name, i))
 		}
 	}
-	c.svcAtoms = map[string]bool{
-		"open:" + task.Name:  true,
-		"close:" + task.Name: true,
-	}
-	for _, s := range task.Services {
-		c.svcAtoms["call:"+s.Name] = true
-	}
-	for _, ch := range task.Children {
-		c.svcAtoms["open:"+ch.Name] = true
-		c.svcAtoms["close:"+ch.Name] = true
-	}
-	var err error
 	c.buchi, err = ltl.TranslateContext(ctx, ltl.Not(prop.Formula))
 	if obs != nil {
 		obs.PhaseEnd(core.PhaseCompile, core.PhaseStats{Elapsed: time.Since(compileStart)})

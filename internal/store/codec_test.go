@@ -60,12 +60,11 @@ func roundTrip(t *testing.T, label, key string, res *core.Result) {
 }
 
 // TestRoundTripAllEnginesAndVerdicts is the property-style lossless-codec
-// test: for every registered engine, and for each terminal verdict class
+// test: for every built-in engine, and for each terminal verdict class
 // (holds / violated / timed-out / budget-exhausted), a real verification
 // result survives Decode(Encode(r)) deeply equal — including the witness
 // trace on violations and the partial stats on budget exhaustion.
 func TestRoundTripAllEnginesAndVerdicts(t *testing.T) {
-	reg := engines.Default()
 	prop := shipStocked(t)
 	good := workflows.OrderFulfillment(false)
 	buggy := workflows.OrderFulfillment(true)
@@ -77,11 +76,11 @@ func TestRoundTripAllEnginesAndVerdicts(t *testing.T) {
 	}
 
 	seen := map[core.Verdict]bool{}
-	for _, name := range reg.SortedNames() {
+	for _, name := range engines.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			budget := core.Budget{MaxStates: 400_000, Timeout: 60 * time.Second}
-			eng, err := reg.Build(name, budget)
+			eng, err := engines.Build([]string{name}, budget)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -122,7 +121,7 @@ func TestRoundTripAllEnginesAndVerdicts(t *testing.T) {
 		{"budget-exhausted", core.Budget{MaxStates: 400_000, MaxMemBytes: 1}, core.VerdictBudget},
 	}
 	for _, c := range starved {
-		eng, err := reg.Build("verifas", c.budget)
+		eng, err := engines.Build([]string{"verifas"}, c.budget)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,17 +148,16 @@ func TestRoundTripAllEnginesAndVerdicts(t *testing.T) {
 // TestRoundTripPortfolio covers the portfolio-shaped result: per-engine
 // outcomes (including canceled losers), winner and decisiveness flags.
 func TestRoundTripPortfolio(t *testing.T) {
-	reg := engines.Default()
 	prop := shipStocked(t)
 	sys := workflows.OrderFulfillment(true)
 	if err := sys.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	contenders, err := reg.BuildAll(engines.DefaultPortfolio, core.Budget{MaxStates: 400_000, Timeout: 60 * time.Second})
+	portfolio, err := engines.Build(engines.DefaultPortfolio, core.Budget{MaxStates: 400_000, Timeout: 60 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.VerifyPortfolio(context.Background(), sys, prop, core.PortfolioOptions{Engines: contenders})
+	res, err := portfolio.Verify(context.Background(), sys, prop)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -125,8 +125,6 @@ type Options struct {
 	// Filter is the static-analysis edge filter (nil disables the
 	// optimization).
 	Filter EdgeFilter
-	// DNFLimit caps condition DNF expansion (0 = fol.DefaultDNFLimit).
-	DNFLimit int
 	// Interner hash-conses the pisotypes retained in states (nil disables
 	// interning). Structurally equal types collapse onto one shared
 	// allocation and compare by pointer; see Interner.
@@ -180,10 +178,6 @@ func witnessPrefix(kind string) string { return "\x00w#" + kind }
 func CompileTask(sys *has.System, task *has.Task, prop PropertyBinding, opts Options) (*TaskSystem, error) {
 	if len(task.Children) > 32 {
 		return nil, fmt.Errorf("symbolic: task %s has %d children; at most 32 supported", task.Name, len(task.Children))
-	}
-	dnfLimit := opts.DNFLimit
-	if dnfLimit == 0 {
-		dnfLimit = fol.DefaultDNFLimit
 	}
 
 	// ---- Pass 1: prenex every condition, collect roots and constants.
@@ -311,7 +305,7 @@ func CompileTask(sys *has.System, task *has.Task, prop PropertyBinding, opts Opt
 		}
 	}
 	for _, w := range work {
-		cc, err := ts.compilePrenex(w.p, dnfLimit)
+		cc, err := ts.compilePrenex(w.p)
 		if err != nil {
 			return nil, err
 		}
@@ -408,7 +402,7 @@ type cLit Lit
 type cAnd struct{ fs []cnode }
 type cOr struct{ fs []cnode }
 
-func (ts *TaskSystem) compilePrenex(p fol.Prenex, dnfLimit int) (*CompiledCond, error) {
+func (ts *TaskSystem) compilePrenex(p fol.Prenex) (*CompiledCond, error) {
 	cc := &CompiledCond{src: p.Matrix}
 	for _, w := range p.Witnesses {
 		root, ok := ts.U.Root(w.Name)
@@ -421,9 +415,9 @@ func (ts *TaskSystem) compilePrenex(p fol.Prenex, dnfLimit int) (*CompiledCond, 
 	if err != nil {
 		return nil, err
 	}
-	conjs, ok := dnfC(n, dnfLimit)
+	conjs, ok := dnfC(n, fol.DefaultDNFLimit)
 	if !ok {
-		return nil, fmt.Errorf("symbolic: condition DNF exceeds %d conjuncts: %s", dnfLimit, fol.String(p.Matrix))
+		return nil, fmt.Errorf("symbolic: condition DNF exceeds %d conjuncts: %s", fol.DefaultDNFLimit, fol.String(p.Matrix))
 	}
 	cc.Conjuncts = conjs
 	return cc, nil
@@ -647,23 +641,6 @@ func (ts *TaskSystem) Initial() []*PSI {
 // first letter of every local run).
 func (ts *TaskSystem) OpenRef() ServiceRef {
 	return ServiceRef{Kind: SvcOpenSelf, Name: ts.Task.Name}
-}
-
-// ServiceAtoms returns the atom names of every observable service of the
-// task, used to validate property formulas.
-func (ts *TaskSystem) ServiceAtoms() map[string]bool {
-	out := map[string]bool{
-		"open:" + ts.Task.Name:  true,
-		"close:" + ts.Task.Name: true,
-	}
-	for _, s := range ts.services {
-		out["call:"+s.name] = true
-	}
-	for _, c := range ts.children {
-		out["open:"+c.name] = true
-		out["close:"+c.name] = true
-	}
-	return out
 }
 
 // Successors computes succ(I): every symbolic transition from the PSI by

@@ -303,7 +303,7 @@ func TestNoSetIgnoresRelations(t *testing.T) {
 
 func TestServiceAtoms(t *testing.T) {
 	ts := compileMini(t, Options{})
-	atoms := ts.ServiceAtoms()
+	atoms := ts.Task.ServiceAtoms()
 	for _, want := range []string{"open:Main", "close:Main", "call:Store", "call:Retrieve", "call:MarkGood", "open:Check", "close:Check"} {
 		if !atoms[want] {
 			t.Errorf("missing service atom %q", want)
