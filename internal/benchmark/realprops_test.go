@@ -7,23 +7,18 @@ import (
 
 	"verifas/internal/core"
 	"verifas/internal/has"
-	"verifas/internal/workflows"
 )
 
 // Every curated domain property must verify to its documented verdict.
 func TestCheckedProperties(t *testing.T) {
 	systems := map[string]*has.System{}
+	for _, s := range RealSuite() {
+		systems[s.Name] = s.Sys
+	}
 	for _, cp := range CheckedProperties() {
 		sys, ok := systems[cp.Workflow]
 		if !ok {
-			sys = workflows.ByName(cp.Workflow)
-			if sys == nil {
-				t.Fatalf("unknown workflow %q", cp.Workflow)
-			}
-			if err := sys.Validate(); err != nil {
-				t.Fatal(err)
-			}
-			systems[cp.Workflow] = sys
+			t.Fatalf("unknown workflow %q", cp.Workflow)
 		}
 		res, err := core.Verify(context.Background(), sys, cp.Prop, core.Options{Budget: core.Budget{MaxStates: 400_000, Timeout: 120 * time.Second}})
 		if err != nil {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -505,8 +506,28 @@ func (rt *Router) forward(r *http.Request, addr string, body []byte) (*http.Resp
 	return rt.hc.Do(req)
 }
 
-// relay copies a replica's response to the client, streaming (with
-// per-write flushes) so event streams arrive live.
+// relayBufs holds the copy buffers of relay, shared across replies.
+var relayBufs = sync.Pool{New: func() any { return new([32 << 10]byte) }}
+
+// flushWriter flushes after every write, so event-stream records
+// arrive live.
+type flushWriter struct {
+	w http.ResponseWriter
+	f http.Flusher
+}
+
+func (fw flushWriter) Write(p []byte) (int, error) {
+	n, err := fw.w.Write(p)
+	fw.f.Flush()
+	return n, err
+}
+
+// relay copies a replica's response to the client. Event streams are
+// flushed after every write; any other reply keeps its Content-Length
+// and is written through the response buffer, so a small reply leaves
+// in one write. The copy hides the ResponseWriter's ReadFrom, which
+// hands a body over 512 bytes to the connection's own copy and that
+// allocates a fresh 32 KB buffer per reply.
 func (rt *Router) relay(w http.ResponseWriter, resp *http.Response, node string) {
 	defer resp.Body.Close()
 	for _, h := range []string{"Content-Type", "Cache-Control", "Retry-After", service.CacheTierHeader} {
@@ -517,23 +538,27 @@ func (rt *Router) relay(w http.ResponseWriter, resp *http.Response, node string)
 	if node != "" {
 		w.Header().Set(ShardHeader, node)
 	}
-	w.WriteHeader(resp.StatusCode)
-	flusher, _ := w.(http.Flusher)
-	buf := make([]byte, 32*1024)
-	for {
-		n, err := resp.Body.Read(buf)
-		if n > 0 {
-			if _, werr := w.Write(buf[:n]); werr != nil {
-				return
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
-		if err != nil {
-			return
-		}
+	var dst io.Writer = struct{ io.Writer }{w}
+	if f, ok := w.(http.Flusher); ok && isEventStream(resp.Header.Get("Content-Type")) {
+		dst = flushWriter{w, f}
+	} else if resp.ContentLength >= 0 {
+		w.Header().Set("Content-Length", strconv.FormatInt(resp.ContentLength, 10))
 	}
+	w.WriteHeader(resp.StatusCode)
+	buf := relayBufs.Get().(*[32 << 10]byte)
+	defer relayBufs.Put(buf)
+	_, _ = io.CopyBuffer(dst, resp.Body, buf[:])
+}
+
+// isEventStream reports whether a response content type is one of the
+// replica's live event streams (JSONL or server-sent events).
+func isEventStream(contentType string) bool {
+	mt, _, _ := strings.Cut(contentType, ";")
+	switch strings.TrimSpace(mt) {
+	case "application/x-ndjson", "text/event-stream":
+		return true
+	}
+	return false
 }
 
 // replay writes a buffered replica answer to the client.

@@ -5,12 +5,15 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
+	"verifas/internal/core"
 	"verifas/internal/fleet"
+	"verifas/internal/has"
 	"verifas/internal/service"
 	"verifas/internal/service/client"
 	"verifas/internal/store"
@@ -29,6 +32,13 @@ type replica struct {
 // its first health sweep done.
 func startFleet(t *testing.T, n int) (*fleet.Router, *httptest.Server, []*replica) {
 	t.Helper()
+	return startFleetWith(t, n, nil)
+}
+
+// startFleetWith is startFleet with engine dispatch engine (nil = the
+// built-in engines) on every replica.
+func startFleetWith(t *testing.T, n int, engine service.EngineFunc) (*fleet.Router, *httptest.Server, []*replica) {
+	t.Helper()
 	dir := t.TempDir()
 	reps := make([]*replica, n)
 	addrs := make([]string, n)
@@ -42,6 +52,7 @@ func startFleet(t *testing.T, n int) (*fleet.Router, *httptest.Server, []*replic
 			Workers: 2,
 			NodeID:  node,
 			Store:   store.NewTiered(store.NewMemory(16), disk),
+			Engine:  engine,
 		})
 		ts := httptest.NewServer(svc.Handler())
 		t.Cleanup(func() {
@@ -200,6 +211,106 @@ func TestRouterIDRouting(t *testing.T) {
 	} else if ae, ok := err.(*client.APIError); !ok || ae.Status != http.StatusBadGateway || ae.Code != "unknown-shard" {
 		t.Fatalf("unknown shard error = %v, want 502 unknown-shard", err)
 	}
+}
+
+// TestRouterLiveStream: an event stream proxied by the router delivers
+// its first record while the job is still running, not when it ends.
+func TestRouterLiveStream(t *testing.T) {
+	gate := make(chan struct{})
+	engine := func(o service.EngineOptions, observer core.Observer) (core.Engine, error) {
+		real, err := service.BuiltinEngine(o, observer)
+		if err != nil {
+			return nil, err
+		}
+		return core.VerifierFunc(func(ctx context.Context, sys *has.System, prop *core.Property) (*core.Result, error) {
+			if observer != nil {
+				observer.PhaseStart(core.PhaseCompile)
+			}
+			select {
+			case <-gate:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+			return real.Verify(ctx, sys, prop)
+		}), nil
+	}
+	_, front, _ := startFleetWith(t, 2, engine)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	cl := client.New(front.URL)
+
+	st, _, _ := postJob(t, front.URL, submitReq(0))
+	first := make(chan service.StreamEvent, 1)
+	var last service.StreamEvent
+	done := make(chan error, 1)
+	go func() {
+		n := 0
+		done <- cl.Stream(ctx, st.ID, func(ev service.StreamEvent) error {
+			if n++; n == 1 {
+				first <- ev
+			}
+			last = ev
+			return nil
+		})
+	}()
+	select {
+	case ev := <-first:
+		if ev.Type == "verdict" {
+			t.Fatalf("first streamed record is the verdict of a job still parked in its engine")
+		}
+	case err := <-done:
+		t.Fatalf("stream ended before the job finished: %v", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("no record reached the client while the job was running")
+	}
+	close(gate)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if last.Type != "verdict" {
+		t.Fatalf("stream ended with %+v, want the verdict", last)
+	}
+}
+
+// TestRouterRelayContentLength: a non-stream reply keeps the replica's
+// Content-Length through the router instead of being re-chunked.
+func TestRouterRelayContentLength(t *testing.T) {
+	_, front, _ := startFleet(t, 2)
+	b, err := json.Marshal(submitReq(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// relayed checks one reply and returns its body.
+	relayed := func(resp *http.Response, err error) []byte {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		what := resp.Request.Method + " " + resp.Request.URL.Path
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.TransferEncoding) != 0 || resp.ContentLength != int64(len(body)) {
+			t.Errorf("%s: Content-Length %d, Transfer-Encoding %v, body %d bytes; want the body's length and no chunking",
+				what, resp.ContentLength, resp.TransferEncoding, len(body))
+		}
+		return body
+	}
+	var st service.JobStatus
+	body := relayed(http.Post(front.URL+"/v1/jobs", "application/json", bytes.NewReader(b)))
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	var res service.JobResult
+	if err := json.Unmarshal(relayed(http.Get(front.URL+"/v1/jobs/"+st.ID+"/result?wait=1")), &res); err != nil {
+		t.Fatal(err)
+	}
+	if res.Verdict != "violated" {
+		t.Fatalf("verdict = %q, want violated", res.Verdict)
+	}
+	relayed(http.Get(front.URL + "/v1/jobs/" + st.ID))
 }
 
 // TestRouterFailover: with a replica dead, its keys are served by ring

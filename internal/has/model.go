@@ -194,13 +194,17 @@ func (t *Task) Parent() *Task { return t.parent }
 // Var returns the task variable with the given name, if any.
 func (t *Task) Var(name string) (Variable, bool) {
 	if t.byName == nil {
-		t.byName = make(map[string]Variable, len(t.Vars))
-		for _, v := range t.Vars {
-			t.byName[v.Name] = v
-		}
+		t.reindex()
 	}
 	v, ok := t.byName[name]
 	return v, ok
+}
+
+func (t *Task) reindex() {
+	t.byName = make(map[string]Variable, len(t.Vars))
+	for _, v := range t.Vars {
+		t.byName[v.Name] = v
+	}
 }
 
 // Relation returns the task's artifact relation with the given name.

@@ -29,6 +29,11 @@ func verr(where, format string, args ...any) error {
 // rules, variable mappings of opening/closing services, and typing of all
 // conditions. It must be called (and succeed) before a System is handed to
 // the verifier.
+//
+// A successful Validate also fills every lazy index of the system (the
+// task list and parent links, the schema's and each task's name maps),
+// so a validated System that is no longer modified is safe to read from
+// many goroutines at once.
 func (s *System) Validate() error {
 	if s.Schema == nil {
 		return verr(s.Name, "nil schema")
@@ -103,6 +108,11 @@ func (s *System) Validate() error {
 	if s.GlobalPre != nil {
 		if err := s.CheckCondition(s.GlobalPre, TaskScope(s.Root), "global pre-condition"); err != nil {
 			return err
+		}
+	}
+	for _, t := range tasks {
+		if t.byName == nil {
+			t.reindex()
 		}
 	}
 	return nil

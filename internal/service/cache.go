@@ -4,14 +4,50 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"sync"
 
 	"verifas/internal/core"
 	"verifas/internal/has"
 	"verifas/internal/spec"
+	"verifas/internal/workflows"
 )
 
+// builtin is a built-in workflow prepared for serving: the validated
+// system and its canonical text, the system part of the cache key.
+type builtin struct {
+	sys  *has.System
+	text string
+}
+
+// builtins is the process's table of the built-in workflows
+// (workflows.All), keyed by name. The first call builds, validates and
+// prints every entry; later calls share them. The table is read-only and
+// so are its systems: resolves and verifications running concurrently
+// all read one *has.System per workflow, which is safe because Validate
+// fills the system's lazy indexes before the table is published.
+var builtins = sync.OnceValue(buildBuiltins)
+
+func buildBuiltins() map[string]builtin {
+	all := workflows.All()
+	m := make(map[string]builtin, len(all))
+	for _, e := range all {
+		sys := e.Build()
+		if err := sys.Validate(); err != nil {
+			panic("service: built-in workflow " + e.Name + ": " + err.Error())
+		}
+		m[e.Name] = builtin{sys: sys, text: canonicalSystem(sys)}
+	}
+	return m
+}
+
+// canonicalSystem renders sys as it enters the cache key.
+func canonicalSystem(sys *has.System) string {
+	return spec.Print(&spec.File{System: sys})
+}
+
 // cacheKey derives the content-addressed identity of a verification:
-// a SHA-256 over the canonicalized (spec, property, options) triple. It
+// a SHA-256 over the canonicalized (spec, property, options) triple,
+// where sysText is the system's canonicalSystem rendering. It
 // is the key of the pluggable result store (internal/store) — including
 // its persistent on-disk tier, so the canonicalization below is a
 // durable format: restarts and replicas answer from entries older
@@ -31,9 +67,9 @@ import (
 // Properties declared in the spec source but not selected by the job do
 // not contribute: the same (system, property) pair submitted from files
 // with different unrelated properties still hits one entry.
-func cacheKey(sys *has.System, prop *core.Property, eopts EngineOptions) string {
+func cacheKey(sysText string, prop *core.Property, eopts EngineOptions) string {
 	h := sha256.New()
-	h.Write([]byte(spec.Print(&spec.File{System: sys})))
+	h.Write([]byte(sysText))
 	h.Write([]byte{0})
 	h.Write([]byte(core.PropertySignature(prop)))
 	h.Write([]byte{0})

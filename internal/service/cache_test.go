@@ -38,19 +38,19 @@ func mustResolve(t *testing.T, src string) (*spec.File, *core.Property) {
 func TestCacheKeyCanonical(t *testing.T) {
 	f, prop := mustResolve(t, cacheSpec)
 	opts := EngineOptions{Engine: EngineVerifas, TimeoutMS: 1000, MaxStates: 100}
-	base := cacheKey(f.System, prop, opts)
+	base := cacheKey(canonicalSystem(f.System), prop, opts)
 
 	// Comments and whitespace in the source are erased by the re-print.
 	noisy := "# a comment\n\n" + cacheSpec + "\n# trailing\n"
 	f2, prop2 := mustResolve(t, noisy)
-	if got := cacheKey(f2.System, prop2, opts); got != base {
+	if got := cacheKey(canonicalSystem(f2.System), prop2, opts); got != base {
 		t.Error("comments/whitespace changed the key")
 	}
 
 	// An unrelated extra property in the file does not contribute.
 	extra := cacheSpec + "\nproperty q of Main {\n  formula F call(Touch)\n}\n"
 	f3, _ := mustResolve(t, extra)
-	if got := cacheKey(f3.System, f3.Properties[0], opts); got != base {
+	if got := cacheKey(canonicalSystem(f3.System), f3.Properties[0], opts); got != base {
 		t.Error("an unselected property changed the key")
 	}
 
@@ -74,11 +74,11 @@ property p of Main {
 }
 `
 	f4, prop4 := mustResolve(t, other)
-	if got := cacheKey(f4.System, prop4, opts); got == base {
+	if got := cacheKey(canonicalSystem(f4.System), prop4, opts); got == base {
 		t.Error("a different service precondition did not change the key")
 	}
 	// ...the property...
-	if got := cacheKey(f3.System, f3.Properties[1], opts); got == base {
+	if got := cacheKey(canonicalSystem(f3.System), f3.Properties[1], opts); got == base {
 		t.Error("a different property did not change the key")
 	}
 	// ...and each option.
@@ -88,7 +88,7 @@ property p of Main {
 		"timeout":    {Engine: EngineVerifas, TimeoutMS: 2000, MaxStates: 100},
 		"max_states": {Engine: EngineVerifas, TimeoutMS: 1000, MaxStates: 200},
 	} {
-		if got := cacheKey(f.System, prop, o); got == base {
+		if got := cacheKey(canonicalSystem(f.System), prop, o); got == base {
 			t.Errorf("option %s did not change the key", name)
 		}
 	}
@@ -102,18 +102,18 @@ func TestCacheKeyEngines(t *testing.T) {
 	opts := func(engine string, engines ...string) EngineOptions {
 		return EngineOptions{Engine: engine, Engines: engines, TimeoutMS: 1000, MaxStates: 100}
 	}
-	base := cacheKey(f.System, prop, opts(EngineVerifas))
-	p := cacheKey(f.System, prop, opts(EnginePortfolio, "verifas", "spinlike"))
+	base := cacheKey(canonicalSystem(f.System), prop, opts(EngineVerifas))
+	p := cacheKey(canonicalSystem(f.System), prop, opts(EnginePortfolio, "verifas", "spinlike"))
 	if p == base {
 		t.Error("portfolio selection did not change the key")
 	}
-	if got := cacheKey(f.System, prop, opts(EnginePortfolio, "verifas", "spinlike-bitstate")); got == p {
+	if got := cacheKey(canonicalSystem(f.System), prop, opts(EnginePortfolio, "verifas", "spinlike-bitstate")); got == p {
 		t.Error("a different contender list did not change the key")
 	}
-	if got := cacheKey(f.System, prop, opts(EnginePortfolio, "spinlike", "verifas")); got == p {
+	if got := cacheKey(canonicalSystem(f.System), prop, opts(EnginePortfolio, "spinlike", "verifas")); got == p {
 		t.Error("contender order did not change the key (order is the tie-break priority)")
 	}
-	if got := cacheKey(f.System, prop, opts(EnginePortfolio, "verifas", "spinlike")); got != p {
+	if got := cacheKey(canonicalSystem(f.System), prop, opts(EnginePortfolio, "verifas", "spinlike")); got != p {
 		t.Error("identical portfolio selections got distinct keys")
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"verifas/internal/has"
 	"verifas/internal/spec"
 	"verifas/internal/store"
-	"verifas/internal/workflows"
 )
 
 // ---------------------------------------------------------------------------
@@ -293,6 +292,7 @@ func resolveRequest(req *SubmitRequest, d KeyDefaults) (*resolved, *apiError) {
 	}
 
 	var sys *has.System
+	var sysText string
 	var props []*core.Property
 	switch {
 	case req.Spec != "" && req.Workflow != "":
@@ -305,10 +305,11 @@ func resolveRequest(req *SubmitRequest, d KeyDefaults) (*resolved, *apiError) {
 		sys = file.System
 		props = file.Properties
 	case req.Workflow != "":
-		sys = workflows.ByName(req.Workflow)
-		if sys == nil {
+		b, ok := builtins()[req.Workflow]
+		if !ok {
 			return nil, badRequestf(codeUnknownWorkflow, "unknown workflow %q", req.Workflow)
 		}
+		sys, sysText = b.sys, b.text
 	default:
 		return nil, badRequestf(codeBadRequest, "one of spec or workflow is required")
 	}
@@ -356,11 +357,14 @@ func resolveRequest(req *SubmitRequest, d KeyDefaults) (*resolved, *apiError) {
 		}
 	}
 
+	if sysText == "" { // inline spec: not a built-in
+		sysText = canonicalSystem(sys)
+	}
 	return &resolved{
 		sys:   sys,
 		prop:  prop,
 		eopts: eopts,
-		key:   cacheKey(sys, prop, eopts),
+		key:   cacheKey(sysText, prop, eopts),
 	}, nil
 }
 

@@ -35,13 +35,3 @@ func All() []Entry {
 		{"CourseEnrollment", CourseEnrollment},
 	}
 }
-
-// ByName builds the named workflow, or nil.
-func ByName(name string) *has.System {
-	for _, e := range All() {
-		if e.Name == name {
-			return e.Build()
-		}
-	}
-	return nil
-}

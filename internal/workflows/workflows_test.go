@@ -9,6 +9,7 @@ import (
 	"verifas/internal/concrete"
 	"verifas/internal/core"
 	"verifas/internal/fol"
+	"verifas/internal/has"
 	"verifas/internal/ltl"
 	"verifas/internal/workflows"
 )
@@ -87,13 +88,31 @@ func TestSuiteStatistics(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	if workflows.ByName("LoanOrigination") == nil {
-		t.Error("ByName failed for existing workflow")
+// The suite's names are its keys (the service looks workflows up by
+// name), so they must be non-empty and unique, and each entry builds.
+func TestAllNamesUnique(t *testing.T) {
+	seen := map[string]bool{}
+	for _, e := range workflows.All() {
+		if e.Name == "" || seen[e.Name] {
+			t.Errorf("workflow name %q is empty or repeated", e.Name)
+		}
+		seen[e.Name] = true
+		if e.Build() == nil {
+			t.Errorf("%s builds no system", e.Name)
+		}
 	}
-	if workflows.ByName("NoSuchFlow") != nil {
-		t.Error("ByName should return nil for unknown workflow")
+}
+
+// build builds the named workflow of the suite.
+func build(t *testing.T, name string) *has.System {
+	t.Helper()
+	for _, e := range workflows.All() {
+		if e.Name == name {
+			return e.Build()
+		}
 	}
+	t.Fatalf("no workflow named %q", name)
+	return nil
 }
 
 // Spot-check domain properties across several workflows.
@@ -140,7 +159,7 @@ func TestDomainProperties(t *testing.T) {
 		},
 	}
 	for _, c := range cases {
-		sys := workflows.ByName(c.flow)
+		sys := build(t, c.flow)
 		if err := sys.Validate(); err != nil {
 			t.Fatalf("%s: %v", c.flow, err)
 		}
