@@ -15,9 +15,9 @@ check:
 		echo "gofmt needed:"; echo "$$fmt"; exit 1; fi
 
 # Race-detector pass over the concurrent packages: the suite and job
-# pools, portfolio racing, engine construction from concurrent jobs,
-# the pooled successor scratch and the successor-type memo, the
-# service, the store, the fleet and the CLI's -j worker pool.
+# pools, engine construction from concurrent jobs, the pooled successor
+# scratch and the successor-type memo, the service, the store, the
+# fleet and the CLI's -j worker pool.
 race:
 	$(GO) test -race -short ./internal/core/... ./internal/engines/... ./internal/benchmark/... ./internal/symbolic/... ./internal/vass/... ./internal/spinlike/... ./internal/service/... ./internal/store/... ./internal/fleet/... ./cmd/verifas/
 
@@ -40,15 +40,13 @@ bench:
 # Fast subset of the hot-path micro-benchmarks: the Karp-Miller
 # exploration on the vector domain, the symbolic successor function and
 # the heaviest real-suite verifications, plus the machine-readable memory
-# and portfolio records.
+# record.
 bench-quick:
 	$(GO) test -run xxx -bench 'Explore' -benchmem -benchtime 2x ./internal/vass/
 	$(GO) test -run xxx -bench 'VerifyRealSuite' -benchmem -benchtime 1x ./internal/benchmark/
 	$(GO) test -run xxx -bench 'TaskSystemSuccessors|SynthWideSuccessors|PSIEdgeSet' -benchmem -benchtime 0.5s ./internal/symbolic/
 	BENCH_MEMORY_JSON=$(CURDIR)/BENCH_memory.json $(GO) test -run TestWriteMemoryBenchJSON -v ./internal/core/
 	@echo "wrote BENCH_memory.json"
-	BENCH_PORTFOLIO_JSON=$(CURDIR)/BENCH_portfolio.json $(GO) test -run TestWritePortfolioBenchJSON -v ./internal/benchmark/
-	@echo "wrote BENCH_portfolio.json"
 
 # One 30-second run of the verifier benchmark (the bench/ module, see
 # bench/README.md): builds the daemons and the benchmark into

@@ -25,19 +25,16 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 	"time"
 
 	"verifas/internal/benchmark"
 	"verifas/internal/core"
-	"verifas/internal/engines"
 	"verifas/internal/memsize"
 	"verifas/internal/obs"
 	"verifas/internal/version"
@@ -60,9 +57,6 @@ func main() {
 		quiet     = flag.Bool("quiet", false, "suppress the live progress line")
 		traceFile = flag.String("trace", "", "write the verification event stream to FILE as JSON lines")
 		debugAddr = flag.String("debug-addr", "", "serve pprof and expvar on this address (e.g. localhost:6060)")
-		portfolio = flag.Bool("portfolio", false, "run the portfolio sweep: race the engine portfolio per property, report per-engine win rates, exit 1 on any engine disagreement")
-		engCSV    = flag.String("engines", "", "comma-separated portfolio contender names (implies -portfolio; default verifas,spinlike)")
-		pjson     = flag.String("portfolio-json", "", "write the portfolio sweep summary to FILE as JSON")
 		showVer   = flag.Bool("version", false, "print the build version and exit")
 	)
 	flag.Parse()
@@ -70,19 +64,7 @@ func main() {
 		fmt.Printf("benchrun %s %s\n", version.String(), runtime.Version())
 		return
 	}
-	portfolioOn := *portfolio || *engCSV != ""
-	engineNames := append([]string(nil), engines.DefaultPortfolio...)
-	if *engCSV != "" {
-		engineNames = nil
-		for _, n := range strings.Split(*engCSV, ",") {
-			if n = strings.TrimSpace(n); n != "" {
-				engineNames = append(engineNames, n)
-			}
-		}
-	}
-	// -portfolio alone runs only the portfolio sweep; combine with -all or
-	// -table to regenerate the paper artifacts in the same invocation.
-	if *table == "" && *figure == "" && !*all && !portfolioOn {
+	if *table == "" && *figure == "" && !*all {
 		*all = true
 	}
 	memBytes, err := memsize.Parse(*memBudget)
@@ -214,44 +196,10 @@ func main() {
 		fmt.Fprintln(out, benchmark.RROverhead(ctx, real, synthetic, cfg))
 		fmt.Fprintf(out, "(rr overhead took %s)\n", time.Since(start).Round(time.Second))
 	}
-	if ctx.Err() == nil && portfolioOn {
-		start := time.Now()
-		cfg.Engines = engineNames
-		runs := benchmark.RunSuite(ctx, real, benchmark.VPortfolio, cfg)
-		runs = append(runs, benchmark.RunSuite(ctx, synthetic, benchmark.VPortfolio, cfg)...)
-		fmt.Fprintln(out, benchmark.PortfolioReport(runs))
-		fmt.Fprintf(out, "(portfolio took %s)\n", time.Since(start).Round(time.Second))
-		summary := benchmark.NewPortfolioBench(engineNames, runs)
-		if *pjson != "" {
-			if err := writePortfolioJSON(*pjson, summary); err != nil {
-				fmt.Fprintln(os.Stderr, "portfolio-json:", err)
-				exitCode = 2
-			}
-		}
-		if summary.Disagreements > 0 {
-			fmt.Fprintf(os.Stderr, "FAIL: %d engine disagreement(s) — decisive verdicts contradict\n", summary.Disagreements)
-			exitCode = 1
-		}
-	}
 	finish()
 	if ctx.Err() != nil {
 		fmt.Fprintln(os.Stderr, "interrupted")
 		os.Exit(130)
 	}
 	os.Exit(exitCode)
-}
-
-// writePortfolioJSON writes the portfolio sweep summary to path.
-func writePortfolioJSON(path string, summary benchmark.PortfolioBench) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(summary); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -7,10 +7,9 @@
 // The specification file uses the textual format of internal/spec and may
 // contain any number of property blocks; by default every property is
 // verified. -engine names the engine (any built-in engine name: "verifas",
-// its ablations such as "verifas-nosp", "spinlike", ...); -engines races
-// several per property. With -j N, up to N properties are verified
-// concurrently (cooperatively cancellable with Ctrl-C); reports are still
-// printed in specification order. -events FILE records the verification
+// its ablations such as "verifas-nosp", "spinlike", ...). With -j N, up
+// to N properties are verified concurrently (cooperatively cancellable
+// with Ctrl-C); reports are still printed in specification order. -events FILE records the verification
 // event stream (phase boundaries, progress snapshots, verdicts) as JSON
 // lines; -debug-addr ADDR serves net/http/pprof and expvar for live
 // inspection. Exit status: 0 when all verified properties hold, 1 when a
@@ -58,7 +57,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		propName  = fs.String("prop", "", "verify only the named property")
 		engine    = fs.String("engine", "verifas", "verification engine, any of: "+strings.Join(engines.Names(), ", "))
-		engineCSV = fs.String("engines", "", "comma-separated engines to race per property (e.g. "+strings.Join(engines.DefaultPortfolio, ",")+"); the first decisive verdict wins and the losers are canceled; overrides -engine")
 		timeout   = fs.Duration("timeout", 60*time.Second, "per-property timeout")
 		maxStates = fs.Int("max-states", core.DefaultMaxStates, "state budget per search phase")
 		memBudget = fs.String("mem-budget", "", "per-property memory budget (e.g. 64M, 2G; empty = unlimited); exhausting it yields a BUDGET verdict with partial stats")
@@ -91,15 +89,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "error: -mem-budget:", err)
 		return 2
 	}
-	names := []string{*engine}
-	if *engineCSV != "" {
-		names = splitNames(*engineCSV)
-	}
 	budget := core.Budget{Timeout: *timeout, MaxStates: *maxStates, MaxMemBytes: memBytes}
 	if *server == "" {
-		// Reject unknown or repeated names before any work; the daemon
-		// checks them itself under -server.
-		if _, err := engines.Build(names, budget); err != nil {
+		// Reject an unknown name before any work; the daemon checks it
+		// itself under -server.
+		if _, err := engines.Build(*engine, budget); err != nil {
 			fmt.Fprintln(stderr, "error:", err)
 			return 2
 		}
@@ -172,7 +166,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if tw != nil {
 			b.Observer = tw.Run(prop.Name)
 		}
-		eng, err := engines.Build(names, b)
+		eng, err := engines.Build(*engine, b)
 		if err != nil {
 			return fmt.Sprintf("%s: error: %v\n", prop.Name, err), 2
 		}
@@ -187,7 +181,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *server != "" {
 		verify = remoteVerifier(ctx, stderr, *server, string(src), file, remoteFlags{
 			reportFlags: rf,
-			engines:     names,
+			engine:      *engine,
 			timeout:     *timeout,
 			maxStates:   *maxStates,
 			memBudget:   memBytes,
@@ -237,18 +231,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return exit
 }
 
-// splitNames parses a comma-separated engine list; the order is the
-// portfolio tie-break priority.
-func splitNames(csv string) []string {
-	var names []string
-	for _, n := range strings.Split(csv, ",") {
-		if n = strings.TrimSpace(n); n != "" {
-			names = append(names, n)
-		}
-	}
-	return names
-}
-
 // reportFlags are the flags that shape a property's report.
 type reportFlags struct {
 	showTrace, showStats, witness bool
@@ -276,7 +258,7 @@ func verdictLine(w io.Writer, prop string, v core.Verdict, elapsed string, state
 // local renders the result of an in-process run of the named engine: the
 // status line, then the counterexample trace, the concrete witness and
 // the statistics as the flags ask. The spinlike engines' verdicts are
-// marked "bounded domain"; a portfolio's name its winner.
+// marked "bounded domain".
 func (rf reportFlags) local(sys *has.System, prop *core.Property, engine string, res *core.Result) (string, int) {
 	var sb strings.Builder
 	var note string
@@ -285,9 +267,6 @@ func (rf reportFlags) local(sys *has.System, prop *core.Property, engine string,
 	}
 	if strings.HasPrefix(engine, spinlike.EngineName) {
 		note += ", bounded domain"
-	}
-	if p := res.Portfolio; p != nil && p.Winner != "" {
-		note += ", won by " + p.Winner
 	}
 	code := verdictLine(&sb, prop.Name, res.Verdict, res.Stats.Elapsed.Round(time.Millisecond).String(), res.Stats.StatesExplored(), note)
 	if v := res.Violation; v != nil && code == 1 {
@@ -299,24 +278,6 @@ func (rf reportFlags) local(sys *has.System, prop *core.Property, engine string,
 		}
 	}
 	if !rf.showStats {
-		return sb.String(), code
-	}
-	if p := res.Portfolio; p != nil {
-		for _, o := range p.Engines {
-			status := o.Verdict.String()
-			switch {
-			case o.Canceled:
-				status = "canceled"
-			case o.Error != "":
-				status = "error: " + o.Error
-			}
-			mark := " "
-			if o.Winner {
-				mark = "*"
-			}
-			fmt.Fprintf(&sb, "  %s %-22s %-16s %10s  states=%d\n",
-				mark, o.Engine, status, o.Elapsed.Round(time.Millisecond), o.States)
-		}
 		return sb.String(), code
 	}
 	fmt.Fprintf(&sb, "  büchi=%d explored=%d pruned=%d skipped=%d accel=%d\n",
@@ -338,7 +299,7 @@ func (rf reportFlags) local(sys *has.System, prop *core.Property, engine string,
 // options and report formatting.
 type remoteFlags struct {
 	reportFlags
-	engines   []string
+	engine    string
 	timeout   time.Duration
 	maxStates int
 	memBudget int64
@@ -351,9 +312,8 @@ type remoteFlags struct {
 // the report.
 func remoteVerifier(ctx context.Context, stderr io.Writer, addr, src string, file *spec.File, rf remoteFlags) func(*core.Property) (string, int) {
 	cl := client.New(addr)
-	// The daemon reads a one-element engine list as that engine alone.
 	ropts := &service.RequestOptions{
-		Engines:   rf.engines,
+		Engine:    rf.engine,
 		TimeoutMS: rf.timeout.Milliseconds(),
 		MaxStates: rf.maxStates,
 		MemBudget: rf.memBudget,

@@ -2,11 +2,14 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"net/http/httptest"
 	"regexp"
 	"strings"
 	"testing"
 
 	"verifas/internal/engines"
+	"verifas/internal/service"
 )
 
 const orderSpec = "../../testdata/orderfulfillment.has"
@@ -75,16 +78,20 @@ func TestEngineUnknown(t *testing.T) {
 	}
 }
 
-// TestEnginesRace races two engines on every property through the -j
-// worker pool: each report names the winner.
-func TestEnginesRace(t *testing.T) {
-	code, out, errOut := runCLI(t, "-engines", "verifas,spinlike", "-j", "3", orderSpec)
+// TestServerEngine: -server sends -engine to the daemon, which runs that
+// engine: verifas-nosp explores 88 states where verifas explores 36.
+func TestServerEngine(t *testing.T) {
+	svc := service.NewServer(service.Config{Workers: 1})
+	ts := httptest.NewServer(svc.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		_ = svc.Shutdown(context.Background())
+	})
+	code, out, errOut := runCLI(t, "-server", ts.URL, "-engine", "verifas-nosp", "-prop", "ship_only_in_stock", orderSpec)
 	if code != 0 {
 		t.Fatalf("exit %d\n%s%s", code, out, errOut)
 	}
-	for _, prop := range []string{"ship_only_in_stock", "take_order_happens", "credit_close_decided"} {
-		if !regexp.MustCompile(`(?m)^` + prop + ` .*won by `).MatchString(out) {
-			t.Errorf("%s: report names no winner:\n%s", prop, out)
-		}
+	if got := statesOf(t, out, "ship_only_in_stock"); got != "88" {
+		t.Errorf("daemon explored %s states, want 88 (verifas-nosp)", got)
 	}
 }

@@ -140,11 +140,6 @@ type Config struct {
 	// ProgressStride overrides the state-count stride between Progress
 	// events (0 = core.DefaultProgressStride).
 	ProgressStride int
-	// Engines is the portfolio contender list (engine names, tie-break
-	// order) used by the VPortfolio verifier; empty means the default
-	// portfolio (verifas + spinlike). All contenders share one budget
-	// derived from Timeout/MaxStates/MaxMemBytes.
-	Engines []string
 }
 
 // DefaultConfig returns a budget suitable for a small container.
@@ -177,26 +172,12 @@ type Run struct {
 	// Stats carries the verifier's search-effort counters. Spin-like
 	// runs populate only the Reachability phase.
 	Stats core.Stats
-	// Portfolio carries the per-engine outcomes of a VPortfolio run
-	// (winner, contender verdicts and durations); nil for single-engine
-	// runs.
-	Portfolio *core.PortfolioStats
-}
-
-// Winner is the portfolio race winner's engine name ("" for
-// single-engine runs or undecided portfolios).
-func (r Run) Winner() string {
-	if r.Portfolio == nil {
-		return ""
-	}
-	return r.Portfolio.Winner
 }
 
 // Holds reports whether the run's verdict was VerdictHolds.
 func (r Run) Holds() bool { return r.Verdict == core.VerdictHolds }
 
-// Verifier names are the built-in engine names (engines.Names), plus
-// VPortfolio for the Config.Engines race.
+// Verifier names are the built-in engine names (engines.Names).
 const (
 	VVerifas      = "verifas"
 	VVerifasNoSet = "verifas-noset"
@@ -205,9 +186,6 @@ const (
 	VNoSA         = "verifas-nosa"
 	VNoDSS        = "verifas-nodss"
 	VNoRR         = "verifas-norr"
-	// VPortfolio races the engines of Config.Engines per property; the
-	// first decisive verdict wins.
-	VPortfolio = "portfolio"
 )
 
 // budget assembles the shared run budget from the config's knobs.
@@ -224,22 +202,13 @@ func (cfg Config) budget(maxStates int, obs core.Observer) core.Budget {
 // Engine resolves a verifier name into a core.Engine with the config's
 // budgets and the given observer attached. Any built-in engine name is
 // a verifier name: the spinlike ones run under SpinMaxStates, the rest
-// under MaxStates. VPortfolio races the Config.Engines contenders under
-// MaxStates (the observer then sees the portfolio-level stream, not the
-// contenders'). Unknown names report core.ErrUnknownVariant.
+// under MaxStates. Unknown names report core.ErrUnknownVariant.
 func (cfg Config) Engine(verifier string, obs core.Observer) (core.Engine, error) {
-	names := []string{verifier}
 	maxStates := cfg.MaxStates
-	switch {
-	case verifier == VPortfolio:
-		names = cfg.Engines
-		if len(names) == 0 {
-			names = engines.DefaultPortfolio
-		}
-	case strings.HasPrefix(verifier, spinlike.EngineName):
+	if strings.HasPrefix(verifier, spinlike.EngineName) {
 		maxStates = cfg.SpinMaxStates
 	}
-	return engines.Build(names, cfg.budget(maxStates, obs))
+	return engines.Build(verifier, cfg.budget(maxStates, obs))
 }
 
 // templateClasses maps template names to their Table 4 class.
@@ -279,7 +248,6 @@ func RunOne(ctx context.Context, spec *Spec, prop *core.Property, verifier strin
 	run.Fail = res.TimedOut() || res.BudgetExhausted()
 	run.Verdict = res.Verdict
 	run.Stats = res.Stats
-	run.Portfolio = res.Portfolio
 	return run
 }
 

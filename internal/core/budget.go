@@ -4,8 +4,8 @@ import "time"
 
 // Budget holds the resource knobs and instrumentation hooks shared by
 // every engine (the VERIFAS core and the spin-like baseline).
-// core.Options and spinlike.Options embed it, so portfolio mode and the
-// service apply one budget uniformly across heterogeneous engines
+// core.Options and spinlike.Options embed it, so the engine table and
+// the service apply one budget uniformly across heterogeneous engines
 // instead of copying fields one by one. None of these fields
 // contribute to the engine name: they change how long a run may take,
 // never what it concludes.

@@ -154,23 +154,6 @@ func (m multiObserver) Verdict(e VerdictEvent) {
 	}
 }
 
-// EngineStart forwards portfolio lifecycle events to the members that
-// implement PortfolioObserver (multiObserver always implements it, so a
-// fan-out never hides the extension from a capable member).
-func (m multiObserver) EngineStart(engine string) {
-	for _, o := range m {
-		emitEngineStart(o, engine)
-	}
-}
-
-// EngineDone forwards portfolio completion events to the members that
-// implement PortfolioObserver.
-func (m multiObserver) EngineDone(out EngineOutcome) {
-	for _, o := range m {
-		emitEngineDone(o, out)
-	}
-}
-
 // emitter wraps a possibly-nil Observer so call sites stay unconditional.
 type emitter struct {
 	obs    Observer

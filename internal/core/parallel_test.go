@@ -153,9 +153,8 @@ func violationEqual(a, b *core.Violation) bool {
 // TestParallelVerifyDeterministic verifies every case twice at once and
 // requires identical verdicts, per-phase search stats and witnesses. A
 // search runs on one goroutine; parallelism exists only across
-// verifications (the daemon's job pool, benchrun -j, verifas -j,
-// portfolio racing), so two concurrent runs of one case must not
-// influence each other.
+// verifications (the daemon's job pool, benchrun -j, verifas -j), so
+// two concurrent runs of one case must not influence each other.
 func TestParallelVerifyDeterministic(t *testing.T) {
 	for _, tc := range determinismCases(t) {
 		t.Run(tc.name, func(t *testing.T) {

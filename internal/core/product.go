@@ -170,7 +170,7 @@ func (p *product) Successors(s vass.State) []vass.Succ {
 	var out []vass.Succ
 	for _, sc := range p.ts.Successors(ps.PSI) {
 		if p.ctx != nil && p.ctx.Err() != nil {
-			return out // truncated; the explorer's cancellation check fires next
+			return out // truncated; Verify answers "holds" only if ctx is still live at the end
 		}
 		for _, n := range p.buchi.States[ps.Node].Succs {
 			n32 := int32(n)

@@ -1,7 +1,7 @@
 package core
 
 // Clone returns a deep copy of the result: mutating the copy (or anything
-// reachable from it — violation steps, portfolio outcomes) never affects
+// reachable from it, such as violation steps) never affects
 // the original. Result stores (internal/store) hand out clones so that a
 // cache hit shared between callers cannot be corrupted by one of them;
 // every other consumer may clone freely, the copy is a handful of small
@@ -14,7 +14,6 @@ func (r *Result) Clone() *Result {
 	}
 	out := *r // Verdict and Stats are flat values
 	out.Violation = r.Violation.clone()
-	out.Portfolio = r.Portfolio.clone()
 	return &out
 }
 
@@ -38,16 +37,4 @@ func cloneSteps(in []Step) []Step {
 	out := make([]Step, len(in))
 	copy(out, in)
 	return out
-}
-
-func (p *PortfolioStats) clone() *PortfolioStats {
-	if p == nil {
-		return nil
-	}
-	out := *p
-	if p.Engines != nil {
-		out.Engines = make([]EngineOutcome, len(p.Engines))
-		copy(out.Engines, p.Engines) // EngineOutcome is a flat value type
-	}
-	return &out
 }

@@ -48,7 +48,7 @@ func (r *streamRecorder) Verdict(e core.VerdictEvent) {
 // instead of hanging, if the run has not returned within 2 s.
 func verifyWithin(t *testing.T, ctx context.Context, name string, b core.Budget) (*core.Result, error) {
 	t.Helper()
-	eng, err := engines.Build([]string{name}, b)
+	eng, err := engines.Build(name, b)
 	if err != nil {
 		t.Fatal(err)
 	}

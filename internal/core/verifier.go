@@ -140,11 +140,6 @@ type Result struct {
 	Verdict   Verdict    `json:"verdict"`
 	Violation *Violation `json:"violation,omitempty"`
 	Stats     Stats      `json:"stats"`
-	// Portfolio records the per-engine outcomes when the result was
-	// produced by VerifyPortfolio (nil for single-engine runs): the
-	// winner, each contender's verdict/duration, and whether the merged
-	// verdict was decisive.
-	Portfolio *PortfolioStats `json:"portfolio,omitempty"`
 }
 
 // Holds reports whether every local run of the task satisfies the
@@ -168,8 +163,9 @@ func (r *Result) BudgetExhausted() bool { return r.Verdict == VerdictBudget }
 // ctx cooperatively in their hot loops. If ctx is cancelled, Verify returns promptly with ctx.Err() and a
 // nil Result (no Verdict event is emitted). If ctx's deadline or
 // opts.Timeout expires (or MaxStates is exhausted), Verify returns a
-// Result with VerdictTimedOut and a nil error. A nil ctx is treated as
-// context.Background().
+// Result with VerdictTimedOut and a nil error; this holds also when the
+// search finished but ctx expired during it, since a cut search may have
+// missed states. A nil ctx is treated as context.Background().
 func Verify(ctx context.Context, sys *has.System, prop *Property, opts Options) (*Result, error) {
 	start := time.Now()
 	if ctx == nil {
@@ -333,6 +329,15 @@ func Verify(ctx context.Context, sys *has.System, prop *Property, opts Options) 
 		}
 	}
 
+	// A search cut by ctx may have dropped successors (product.Successors
+	// truncates once ctx is done) and still run to an empty worklist, so
+	// "holds" stands only if ctx was live after the last search step.
+	// A violation found before the cut is a real path and stands anyway.
+	if err := ctx.Err(); errors.Is(err, context.Canceled) {
+		return nil, err
+	} else if err != nil {
+		return finish(VerdictTimedOut)
+	}
 	return finish(VerdictHolds)
 }
 

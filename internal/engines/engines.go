@@ -12,14 +12,6 @@ import (
 	"verifas/internal/spinlike"
 )
 
-// DefaultPortfolio is the engine selection used when a caller asks for
-// portfolio mode without naming contenders: the full VERIFAS
-// configuration raced against the bounded Spin-like baseline — the
-// paper's own comparison pair, with complementary performance profiles.
-// Order is the deterministic tie-break priority (the exact engine
-// first).
-var DefaultPortfolio = []string{"verifas", "spinlike"}
-
 // table lists every built-in engine in the order Names reports. Each
 // entry binds a fixed configuration to the per-job budget; budgets (and
 // the observers riding in them) are chosen per job, not per process.
@@ -62,44 +54,13 @@ func Names() []string {
 	return out
 }
 
-// build constructs one named engine with budget b.
-func build(name string, b core.Budget) (core.Engine, error) {
+// Build constructs the named engine with budget b. An unknown name
+// wraps core.ErrUnknownVariant and lists the known ones.
+func Build(name string, b core.Budget) (core.Engine, error) {
 	for _, e := range table {
 		if e.name == name {
 			return e.build(b), nil
 		}
 	}
 	return nil, fmt.Errorf("engines: %w %q (known: %v)", core.ErrUnknownVariant, name, Names())
-}
-
-// Build turns engine names into one engine under budget b. One name
-// gives that engine with b. Several names give a portfolio: the
-// contenders are built with b minus its observer and raced by
-// core.PortfolioEngine, first decisive verdict wins, list order is the
-// tie-break priority, and b.Observer receives the portfolio-level
-// stream. An unknown name wraps core.ErrUnknownVariant and lists the
-// known ones; an empty list or a repeated name is an error too.
-func Build(names []string, b core.Budget) (core.Engine, error) {
-	switch len(names) {
-	case 0:
-		return nil, fmt.Errorf("engines: %w: no engine named (known: %v)", core.ErrUnknownVariant, Names())
-	case 1:
-		return build(names[0], b)
-	}
-	observer := b.Observer
-	b.Observer = nil
-	contenders := make([]core.Engine, len(names))
-	for i, name := range names {
-		for _, prev := range names[:i] {
-			if prev == name {
-				return nil, fmt.Errorf("engines: duplicate engine %q in portfolio", name)
-			}
-		}
-		eng, err := build(name, b)
-		if err != nil {
-			return nil, err
-		}
-		contenders[i] = eng
-	}
-	return core.PortfolioEngine(contenders, observer), nil
 }

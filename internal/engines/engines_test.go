@@ -15,45 +15,27 @@ import (
 	"verifas/internal/workflows"
 )
 
-// TestEngineTable pins the table: the names in order, and the name and
-// caveats every built engine reports.
+// TestEngineTable pins the table: the names in order, and the name
+// every built engine reports.
 func TestEngineTable(t *testing.T) {
-	want := []struct {
-		name string
-		caps core.Capabilities
-	}{
-		{"verifas", core.Capabilities{}},
-		{"verifas-noset", core.Capabilities{IgnoresSets: true}},
-		{"verifas-nosp", core.Capabilities{}},
-		{"verifas-nosa", core.Capabilities{}},
-		{"verifas-nodss", core.Capabilities{}},
-		{"verifas-norr", core.Capabilities{BoundedHolds: true}},
-		{"spinlike", core.Capabilities{BoundedHolds: true, IgnoresSets: true}},
-		{"spinlike-bitstate", core.Capabilities{BoundedHolds: true, IgnoresSets: true, Lossy: true}},
+	want := []string{
+		"verifas", "verifas-noset", "verifas-nosp", "verifas-nosa",
+		"verifas-nodss", "verifas-norr", "spinlike", "spinlike-bitstate",
 	}
 	names := engines.Names()
 	if len(names) != len(want) {
 		t.Fatalf("Names() = %v, want %d engines", names, len(want))
 	}
 	for i, w := range want {
-		if names[i] != w.name {
-			t.Errorf("Names()[%d] = %q, want %q", i, names[i], w.name)
+		if names[i] != w {
+			t.Errorf("Names()[%d] = %q, want %q", i, names[i], w)
 		}
-		eng, err := engines.Build([]string{w.name}, core.Budget{})
+		eng, err := engines.Build(w, core.Budget{})
 		if err != nil {
-			t.Fatalf("build %q: %v", w.name, err)
+			t.Fatalf("build %q: %v", w, err)
 		}
-		if eng.Name() != w.name || eng.Caps() != w.caps {
-			t.Errorf("engine %q reports Name() = %q, Caps() = %+v; want caps %+v", w.name, eng.Name(), eng.Caps(), w.caps)
-		}
-	}
-	known := map[string]bool{}
-	for _, n := range names {
-		known[n] = true
-	}
-	for _, n := range engines.DefaultPortfolio {
-		if !known[n] {
-			t.Errorf("DefaultPortfolio names unknown engine %q", n)
+		if eng.Name() != w {
+			t.Errorf("engine %q reports Name() = %q", w, eng.Name())
 		}
 	}
 }
@@ -67,12 +49,9 @@ func TestBuildConcurrent(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for _, n := range engines.Names() {
-				if _, err := engines.Build([]string{n}, core.Budget{MaxStates: i + 1}); err != nil {
+				if _, err := engines.Build(n, core.Budget{MaxStates: i + 1}); err != nil {
 					t.Error(err)
 				}
-			}
-			if _, err := engines.Build(engines.DefaultPortfolio, core.Budget{MaxStates: i + 1}); err != nil {
-				t.Error(err)
 			}
 		}(i)
 	}
@@ -86,7 +65,7 @@ func TestInvalidPropertyEveryEngine(t *testing.T) {
 	sys, prop := buildProperty(t)
 	prop.Conds = nil
 	for _, n := range engines.Names() {
-		eng, err := engines.Build([]string{n}, core.Budget{MaxStates: 1000, Timeout: 10 * time.Second})
+		eng, err := engines.Build(n, core.Budget{MaxStates: 1000, Timeout: 10 * time.Second})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,66 +75,15 @@ func TestInvalidPropertyEveryEngine(t *testing.T) {
 	}
 }
 
-// TestPortfolioMatchesSingleEngine runs the default portfolio on a real
-// workflow property and checks the merged verdict against the exact
-// engine run alone.
-func TestPortfolioMatchesSingleEngine(t *testing.T) {
-	sys, prop := buildProperty(t)
-	budget := core.Budget{MaxStates: 400_000, Timeout: 120 * time.Second}
-
-	solo, err := engines.Build([]string{"verifas"}, budget)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := solo.Verify(context.Background(), sys, prop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.TimedOut() {
-		t.Skipf("solo run exhausted its budget after %d states", want.Stats.StatesExplored())
-	}
-
-	portfolio, err := engines.Build(engines.DefaultPortfolio, budget)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := portfolio.Verify(context.Background(), sys, prop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Verdict != want.Verdict {
-		t.Errorf("portfolio verdict %v != solo verifas verdict %v", got.Verdict, want.Verdict)
-	}
-	p := got.Portfolio
-	if p == nil || !p.Decisive || p.Winner == "" {
-		t.Fatalf("portfolio stats missing or indecisive: %+v", p)
-	}
-	if len(p.Engines) != len(engines.DefaultPortfolio) {
-		t.Errorf("outcome count %d != contender count %d", len(p.Engines), len(engines.DefaultPortfolio))
-	}
-	// OrderFulfillment declares artifact relations and the default
-	// portfolio mixes spinlike (set-ignoring) with verifas, so the
-	// mismatch demotion must be active and only verifas can win "holds".
-	if !p.Mismatch {
-		t.Error("abstraction mismatch not flagged for the default portfolio on OrderFulfillment")
-	}
-	if got.Verdict == core.VerdictHolds && p.Winner != "verifas" {
-		t.Errorf("a 'holds' under mismatch can only be won by verifas, winner = %q", p.Winner)
-	}
-}
-
 // recorder counts the events of one run.
 type recorder struct {
-	phases, progress, verdicts int
-	started, done              []string
+	phases, verdicts int
 }
 
 func (r *recorder) PhaseStart(core.Phase)                { r.phases++ }
 func (r *recorder) PhaseEnd(core.Phase, core.PhaseStats) {}
-func (r *recorder) Progress(core.ProgressEvent)          { r.progress++ }
+func (r *recorder) Progress(core.ProgressEvent)          {}
 func (r *recorder) Verdict(core.VerdictEvent)            { r.verdicts++ }
-func (r *recorder) EngineStart(name string)              { r.started = append(r.started, name) }
-func (r *recorder) EngineDone(o core.EngineOutcome)      { r.done = append(r.done, o.Engine) }
 
 func buildProperty(t *testing.T) (*has.System, *core.Property) {
 	t.Helper()
@@ -171,17 +99,17 @@ func buildProperty(t *testing.T) (*has.System, *core.Property) {
 	}
 }
 
-// TestBuildOne: one name gives that engine, observed through the
-// budget's observer; a one-element list is the same engine.
+// TestBuildOne: a name gives that engine, observed through the budget's
+// observer, and equal to the engine built directly.
 func TestBuildOne(t *testing.T) {
 	sys, prop := buildProperty(t)
 	rec := &recorder{}
-	eng, err := engines.Build([]string{"verifas-nosp"}, core.Budget{MaxStates: 100_000, Observer: rec})
+	eng, err := engines.Build("verifas-nosp", core.Budget{MaxStates: 100_000, Observer: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if eng.Name() != "verifas-nosp" {
-		t.Fatalf("Build([verifas-nosp]) = %q", eng.Name())
+		t.Fatalf("Build(verifas-nosp) = %q", eng.Name())
 	}
 	res, err := eng.Verify(context.Background(), sys, prop)
 	if err != nil {
@@ -196,8 +124,8 @@ func TestBuildOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ref.Name() != eng.Name() || ref.Caps() != eng.Caps() {
-		t.Errorf("built engine %q %+v, direct engine %q %+v", eng.Name(), eng.Caps(), ref.Name(), ref.Caps())
+	if ref.Name() != eng.Name() {
+		t.Errorf("built engine %q, direct engine %q", eng.Name(), ref.Name())
 	}
 	if res.Verdict != want.Verdict || res.Stats.StatesExplored() != want.Stats.StatesExplored() {
 		t.Errorf("built engine: %v after %d states; direct engine: %v after %d states",
@@ -205,42 +133,10 @@ func TestBuildOne(t *testing.T) {
 	}
 }
 
-// TestBuildPortfolio: several names race as a portfolio whose observer
-// sees only the portfolio-level stream.
-func TestBuildPortfolio(t *testing.T) {
-	sys, prop := buildProperty(t)
-	rec := &recorder{}
-	eng, err := engines.Build([]string{"verifas", "spinlike"}, core.Budget{MaxStates: 100_000, Observer: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Verify(context.Background(), sys, prop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := res.Portfolio
-	if p == nil || len(p.Engines) != 2 || p.Engines[0].Engine != "verifas" || p.Engines[1].Engine != "spinlike" {
-		t.Fatalf("portfolio outcomes = %+v, want verifas and spinlike", p)
-	}
-	if rec.phases != 0 || rec.progress != 0 {
-		t.Errorf("contenders were observed: %d phase starts, %d progress events", rec.phases, rec.progress)
-	}
-	if len(rec.started) != 2 || len(rec.done) != 2 || rec.verdicts != 1 {
-		t.Errorf("portfolio stream: started %v, done %v, %d verdicts", rec.started, rec.done, rec.verdicts)
-	}
-}
-
 func TestBuildRejects(t *testing.T) {
-	if _, err := engines.Build([]string{"bogus"}, core.Budget{}); !errors.Is(err, core.ErrUnknownVariant) {
-		t.Errorf("unknown name: err = %v, want core.ErrUnknownVariant", err)
-	}
-	if _, err := engines.Build([]string{"verifas", "bogus"}, core.Budget{}); !errors.Is(err, core.ErrUnknownVariant) {
-		t.Errorf("unknown contender: err = %v, want core.ErrUnknownVariant", err)
-	}
-	if _, err := engines.Build([]string{"verifas", "verifas"}, core.Budget{}); err == nil {
-		t.Error("a repeated name was accepted")
-	}
-	if _, err := engines.Build(nil, core.Budget{}); err == nil {
-		t.Error("an empty list was accepted")
+	for _, name := range []string{"bogus", "", "verifas,spinlike"} {
+		if _, err := engines.Build(name, core.Budget{}); !errors.Is(err, core.ErrUnknownVariant) {
+			t.Errorf("Build(%q): err = %v, want core.ErrUnknownVariant", name, err)
+		}
 	}
 }

@@ -7,7 +7,6 @@ package obs
 import (
 	"encoding/json"
 	"expvar"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -36,33 +35,6 @@ type Registry struct {
 
 	// phaseNanos accumulates wall time per phase, indexed by phaseIdx.
 	phaseNanos [numPhases]atomic.Int64
-
-	// engMu guards engines: the per-engine outcome counters fed by
-	// portfolio runs (EngineStart/EngineDone events). Unlike the hot
-	// per-state counters above, these fire at most a handful of times
-	// per run, so a mutex-guarded map is fine.
-	engMu   sync.Mutex
-	engines map[string]*engineCounters
-}
-
-// engineCounters tallies one engine's portfolio outcomes. Guarded by
-// Registry.engMu.
-type engineCounters struct {
-	starts, wins, holds, violated, timedOut, budget, canceled, errs int64
-}
-
-// engineLocked returns the counters for name, creating them lazily.
-// Caller holds engMu.
-func (r *Registry) engineLocked(name string) *engineCounters {
-	if r.engines == nil {
-		r.engines = map[string]*engineCounters{}
-	}
-	c, ok := r.engines[name]
-	if !ok {
-		c = &engineCounters{}
-		r.engines[name] = c
-	}
-	return c
 }
 
 // NewRegistry returns an empty registry.
@@ -120,28 +92,6 @@ type Snapshot struct {
 
 	// PhaseMillis is wall time spent per phase, in milliseconds.
 	PhaseMillis map[string]int64 `json:"phase_millis"`
-
-	// Engines tallies per-engine portfolio outcomes (absent until the
-	// first portfolio run): how often each contender launched, won the
-	// race, and how its own runs ended.
-	Engines map[string]EngineSnapshot `json:"engines,omitempty"`
-}
-
-// EngineSnapshot is one engine's portfolio outcome totals.
-type EngineSnapshot struct {
-	// Starts counts portfolio launches of this engine.
-	Starts int64 `json:"starts"`
-	// Wins counts races this engine's decisive verdict settled.
-	Wins int64 `json:"wins"`
-	// Verdict outcomes of the engine's own runs.
-	Holds           int64 `json:"holds"`
-	Violated        int64 `json:"violated"`
-	TimedOut        int64 `json:"timed_out"`
-	BudgetExhausted int64 `json:"budget_exhausted"`
-	// Canceled counts runs stopped early as portfolio losers.
-	Canceled int64 `json:"canceled"`
-	// Errors counts hard engine failures.
-	Errors int64 `json:"errors"`
 }
 
 // Snapshot returns the current totals.
@@ -162,23 +112,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for i, p := range phaseOrder {
 		s.PhaseMillis[string(p)] = r.phaseNanos[i].Load() / int64(time.Millisecond)
 	}
-	r.engMu.Lock()
-	if len(r.engines) > 0 {
-		s.Engines = make(map[string]EngineSnapshot, len(r.engines))
-		for name, c := range r.engines {
-			s.Engines[name] = EngineSnapshot{
-				Starts:          c.starts,
-				Wins:            c.wins,
-				Holds:           c.holds,
-				Violated:        c.violated,
-				TimedOut:        c.timedOut,
-				BudgetExhausted: c.budget,
-				Canceled:        c.canceled,
-				Errors:          c.errs,
-			}
-		}
-	}
-	r.engMu.Unlock()
 	return s
 }
 
@@ -222,41 +155,6 @@ func (h *regRun) PhaseEnd(p core.Phase, ps core.PhaseStats) {
 	h.addDelta(ps)
 	if i := phaseIdx(p); i >= 0 {
 		h.reg.phaseNanos[i].Add(int64(ps.Elapsed))
-	}
-}
-
-// EngineStart counts a portfolio contender launching (the
-// core.PortfolioObserver extension; single-engine runs never call it).
-func (h *regRun) EngineStart(engine string) {
-	h.reg.engMu.Lock()
-	h.reg.engineLocked(engine).starts++
-	h.reg.engMu.Unlock()
-}
-
-// EngineDone tallies a portfolio contender's outcome.
-func (h *regRun) EngineDone(o core.EngineOutcome) {
-	h.reg.engMu.Lock()
-	defer h.reg.engMu.Unlock()
-	c := h.reg.engineLocked(o.Engine)
-	if o.Winner {
-		c.wins++
-	}
-	switch {
-	case o.Canceled:
-		c.canceled++
-	case o.Error != "":
-		c.errs++
-	default:
-		switch o.Verdict {
-		case core.VerdictHolds:
-			c.holds++
-		case core.VerdictViolated:
-			c.violated++
-		case core.VerdictTimedOut:
-			c.timedOut++
-		case core.VerdictBudget:
-			c.budget++
-		}
 	}
 }
 

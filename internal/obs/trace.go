@@ -27,20 +27,14 @@ type Event struct {
 	PhaseStats *core.PhaseStats    `json:"phase_stats,omitempty"`
 	Progress   *core.ProgressEvent `json:"progress,omitempty"`
 	Verdict    *core.VerdictEvent  `json:"verdict,omitempty"`
-	// Engine is the payload of portfolio lifecycle events: for
-	// "engine-start" only the Engine name is populated; "engine-done"
-	// carries the contender's full outcome.
-	Engine *core.EngineOutcome `json:"engine,omitempty"`
 }
 
 // Event type names.
 const (
-	EventPhaseStart  = "phase-start"
-	EventPhaseEnd    = "phase-end"
-	EventProgress    = "progress"
-	EventVerdict     = "verdict"
-	EventEngineStart = "engine-start"
-	EventEngineDone  = "engine-done"
+	EventPhaseStart = "phase-start"
+	EventPhaseEnd   = "phase-end"
+	EventProgress   = "progress"
+	EventVerdict    = "verdict"
 )
 
 // TraceWriter serializes the event streams of any number of concurrent
@@ -101,17 +95,6 @@ func (r *traceRun) Progress(e core.ProgressEvent) {
 
 func (r *traceRun) Verdict(e core.VerdictEvent) {
 	r.w.emit(Event{Type: EventVerdict, Run: r.id, Verdict: &e})
-}
-
-// EngineStart records a portfolio contender launching (the
-// core.PortfolioObserver extension).
-func (r *traceRun) EngineStart(engine string) {
-	r.w.emit(Event{Type: EventEngineStart, Run: r.id, Engine: &core.EngineOutcome{Engine: engine}})
-}
-
-// EngineDone records a portfolio contender's outcome.
-func (r *traceRun) EngineDone(o core.EngineOutcome) {
-	r.w.emit(Event{Type: EventEngineDone, Run: r.id, Engine: &o})
 }
 
 // ReadTrace parses a JSONL trace back into events, for tooling and tests.

@@ -21,7 +21,7 @@ import (
 // one key per line in workflows.All order. The keys name entries of the
 // persistent store, so a change here orphans every stored verdict of a
 // built-in workflow: change the key format only on purpose.
-const builtinKeysDigest = "d597e87b9367c4887665c05433cfd878a13a2a6c242fe0c1cc7e1ef8d292d162"
+const builtinKeysDigest = "f3a89cf5a1f7a541cbb86a60f6c24032d38474bbc3aaeb1cfb89ee648544e289"
 
 // propertySource renders p as a standalone property block.
 func propertySource(sys *has.System, p *core.Property) string {

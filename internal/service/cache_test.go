@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"verifas/internal/core"
+	"verifas/internal/engines"
 	"verifas/internal/spec"
 )
 
@@ -94,27 +95,17 @@ property p of Main {
 	}
 }
 
-// TestCacheKeyEngines: the engine selection — including the ordered
-// portfolio contender list — participates in the cache key, so a
-// portfolio result can never answer a single-engine job or vice versa.
+// TestCacheKeyEngines: the engine name participates in the cache key,
+// so one engine's result never answers a job for another.
 func TestCacheKeyEngines(t *testing.T) {
 	f, prop := mustResolve(t, cacheSpec)
-	opts := func(engine string, engines ...string) EngineOptions {
-		return EngineOptions{Engine: engine, Engines: engines, TimeoutMS: 1000, MaxStates: 100}
-	}
-	base := cacheKey(canonicalSystem(f.System), prop, opts(EngineVerifas))
-	p := cacheKey(canonicalSystem(f.System), prop, opts(EnginePortfolio, "verifas", "spinlike"))
-	if p == base {
-		t.Error("portfolio selection did not change the key")
-	}
-	if got := cacheKey(canonicalSystem(f.System), prop, opts(EnginePortfolio, "verifas", "spinlike-bitstate")); got == p {
-		t.Error("a different contender list did not change the key")
-	}
-	if got := cacheKey(canonicalSystem(f.System), prop, opts(EnginePortfolio, "spinlike", "verifas")); got == p {
-		t.Error("contender order did not change the key (order is the tie-break priority)")
-	}
-	if got := cacheKey(canonicalSystem(f.System), prop, opts(EnginePortfolio, "verifas", "spinlike")); got != p {
-		t.Error("identical portfolio selections got distinct keys")
+	keys := map[string]string{}
+	for _, name := range engines.Names() {
+		key := cacheKey(canonicalSystem(f.System), prop, EngineOptions{Engine: name, TimeoutMS: 1000, MaxStates: 100})
+		if other, ok := keys[key]; ok {
+			t.Errorf("engines %s and %s share a key", other, name)
+		}
+		keys[key] = name
 	}
 }
 

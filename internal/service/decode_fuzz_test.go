@@ -16,7 +16,7 @@ func FuzzDecodeSubmit(f *testing.F) {
 	seeds := []string{
 		`{"workflow": "OrderFulfillmentBuggy", ` + prop + `}`,
 		`{"workflow": "OrderFulfillmentBuggy", ` + prop + `, "options": {"engine": "verifas-nosp", "max_states": 1000}}`,
-		`{"workflow": "OrderFulfillmentBuggy", ` + prop + `, "options": {"engines": ["verifas", "spinlike"]}}`,
+		`{"workflow": "OrderFulfillmentBuggy", ` + prop + `, "options": {"engine": "spinlike-bitstate", "timeout_ms": 1000}}`,
 		`{"spec": "system S\nschema {\n relation R(x)\n}\ntask Main {\n vars a: R\n service T {\n  pre a == null\n  post a != null\n }\n}\nglobal-pre a == null\nproperty p of Main {\n formula G call(T)\n}"}`,
 		`{"workflow": "OrderFulfillment", "options": {"no_sp": true}}`,
 		`{"workflow": "OrderFulfillment", "options": {"no_sa": true}}`,

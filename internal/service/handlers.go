@@ -96,7 +96,7 @@ type ReadyResponse struct {
 type StatsResponse struct {
 	Service MetricsSnapshot `json:"service"`
 	// Verifier is the aggregated engine-event registry (states explored,
-	// verdict counts, per-phase wall time, portfolio outcomes).
+	// verdict counts, per-phase wall time).
 	Verifier json.RawMessage `json:"verifier"`
 	// CacheEntries is the resident (memory-tier) result-store
 	// population.
@@ -108,11 +108,8 @@ type StatsResponse struct {
 	Store store.Stats `json:"store"`
 	// MemBudget reports the per-job `mem_budget` option's server default.
 	MemBudget MemBudgetInfo `json:"mem_budget"`
-	// Engines lists the engine labels the built-in dispatch accepts for
-	// the `engine` and `engines` job options, in engine-table order.
-	// Per-engine portfolio outcome counters (starts, wins, verdicts,
-	// cancellations) appear under Verifier.engines once a portfolio job
-	// has run.
+	// Engines lists the engine names the built-in dispatch accepts for
+	// the `engine` job option, in engine-table order.
 	Engines []string `json:"engines"`
 	// Node is the replica's fleet node id (empty standalone).
 	Node string `json:"node,omitempty"`

@@ -7,10 +7,12 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"verifas/internal/engines"
 	"verifas/internal/service"
 	"verifas/internal/service/client"
 )
@@ -139,9 +141,10 @@ func TestBadRequestBodies(t *testing.T) {
 }
 
 // TestRemovedOptionsRejected: there are no "workers", "relaxed" or
-// "agg_rr" job options, and no per-job tuning knobs (the ablations are
-// engine names such as "verifas-nosp"), so the strict decoder answers a
-// body naming any of them with a 400 bad-request that names the field.
+// "agg_rr" job options, no per-job tuning knobs (the ablations are
+// engine names such as "verifas-nosp") and no "engines" list (a job runs
+// one engine), so the strict decoder answers a body naming any of them
+// with a 400 bad-request that names the field.
 func TestRemovedOptionsRejected(t *testing.T) {
 	svc := service.NewServer(service.Config{Workers: 1})
 	ts := httptest.NewServer(svc.Handler())
@@ -152,7 +155,7 @@ func TestRemovedOptionsRejected(t *testing.T) {
 	for _, opt := range []string{
 		`"workers": 2`, `"relaxed": true`, `"agg_rr": true`,
 		`"no_sp": true`, `"no_sa": true`, `"no_dss": true`, `"no_set": true`, `"no_rr": true`,
-		`"spin_fresh": 3`,
+		`"spin_fresh": 3`, `"engines": ["verifas", "spinlike"]`,
 	} {
 		body := `{"workflow": "OrderFulfillment", "property_src": "", "options": {` + opt + `}}`
 		resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json", bytes.NewBufferString(body))
@@ -173,8 +176,46 @@ func TestRemovedOptionsRejected(t *testing.T) {
 	}
 }
 
+// TestPortfolioOptionValidation: every request shape that asked for a
+// portfolio race of several engines, alone or next to "engine", is a
+// structured 400 bad-request naming the removed "engines" field, given
+// at submit time before a queue slot is taken.
+func TestPortfolioOptionValidation(t *testing.T) {
+	spec, err := json.Marshal(loadSpec(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, cl := newTestServer(t, service.Config{Workers: 1})
+
+	cases := []struct{ name, opts string }{
+		{"engine and engines together", `{"engine": "verifas", "engines": ["spinlike"]}`},
+		{"tuning knob with engines", `{"engines": ["verifas", "spinlike"], "no_sp": true}`},
+		{"empty contender name", `{"engines": ["verifas", ""]}`},
+		{"duplicate contender", `{"engines": ["verifas", "verifas"]}`},
+		{"unknown contender", `{"engines": ["verifas", "nope"]}`},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			body := fmt.Sprintf(`{"spec": %s, "property": "ship_only_in_stock", "options": %s}`, spec, c.opts)
+			resp, err := cl.HTTP.Post(cl.Base+"/v1/jobs", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var eb service.ErrorBody
+			if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+				t.Fatalf("error body is not the structured envelope: %v", err)
+			}
+			if resp.StatusCode != 400 || eb.Error.Code != "bad-request" || !strings.Contains(eb.Error.Message, `"engines"`) {
+				t.Errorf("got %d %q (%s), want 400 bad-request naming \"engines\"", resp.StatusCode, eb.Error.Code, eb.Error.Message)
+			}
+		})
+	}
+}
+
 // TestStatsAndHealth: the aggregate endpoints expose the service
-// counters, the verifier registry and the build version. A run's
+// counters, the verifier registry, the engine catalogue and the build
+// version. A run's
 // completion is counted before its verdict is published, so a client
 // that has the verdict reads it in the counters at once.
 func TestStatsAndHealth(t *testing.T) {
@@ -221,6 +262,9 @@ func TestStatsAndHealth(t *testing.T) {
 	}
 	if reg.RunsDone != runs || reg.Holds != runs {
 		t.Errorf("registry = %+v", reg)
+	}
+	if !slices.Equal(st.Engines, engines.Names()) {
+		t.Errorf("/v1/stats engines = %v, want the engine table %v", st.Engines, engines.Names())
 	}
 }
 

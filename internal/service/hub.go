@@ -10,8 +10,7 @@ import (
 
 // StreamEvent is one record of a job's event stream: the core observer
 // events in the obs.Event JSONL envelope (phase brackets, progress
-// snapshots, portfolio engine-start/engine-done records, the verdict),
-// plus service-level terminal records.
+// snapshots, the verdict), plus service-level terminal records.
 //
 // Service-level Type values extend the obs set:
 //   - "error":    the engine failed; Error carries the message.
@@ -114,17 +113,6 @@ func (h *hub) Progress(e core.ProgressEvent) {
 
 func (h *hub) Verdict(e core.VerdictEvent) {
 	h.append(StreamEvent{Event: obs.Event{Type: obs.EventVerdict, Verdict: &e}})
-}
-
-// EngineStart publishes a portfolio contender's launch (the
-// core.PortfolioObserver extension; only portfolio runs emit these).
-func (h *hub) EngineStart(engine string) {
-	h.append(StreamEvent{Event: obs.Event{Type: obs.EventEngineStart, Engine: &core.EngineOutcome{Engine: engine}}})
-}
-
-// EngineDone publishes a portfolio contender's outcome.
-func (h *hub) EngineDone(o core.EngineOutcome) {
-	h.append(StreamEvent{Event: obs.Event{Type: obs.EventEngineDone, Engine: &o}})
 }
 
 // terminalError appends the terminal "error" record and seals the stream.

@@ -47,15 +47,7 @@ type RequestOptions struct {
 	// name (engines.Names). The paper's ablations are engine names
 	// too ("verifas-noset", "verifas-nosp", "verifas-nosa",
 	// "verifas-nodss", "verifas-norr"), as is "spinlike-bitstate".
-	// Mutually exclusive with Engines.
 	Engine string `json:"engine,omitempty"`
-	// Engines selects portfolio mode: the named engines race on the job
-	// under one shared budget, the first decisive verdict wins and the
-	// losers are canceled. Order is the deterministic tie-break priority.
-	// The list participates in the result-cache key. Mutually exclusive
-	// with Engine. A single-element list degenerates to that engine
-	// alone.
-	Engines []string `json:"engines,omitempty"`
 	// TimeoutMS bounds the verification wall clock in milliseconds
 	// (0 = server default). Must be non-negative.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
@@ -83,16 +75,10 @@ type RequestOptions struct {
 // of which fields they spelled out. Every field but ProgressStride
 // marshals unconditionally.
 type EngineOptions struct {
-	Engine string `json:"engine"`
-	// Engines is the portfolio contender list in tie-break order (nil
-	// for single-engine jobs; Engine is then "portfolio"). Its canonical
-	// JSON marshals unconditionally, so the engine selection — including
-	// contender order — is part of the cache key: a portfolio result can
-	// never collide with a single-engine result for the same spec.
-	Engines   []string `json:"engines"`
-	TimeoutMS int64    `json:"timeout_ms"`
-	MaxStates int      `json:"max_states"`
-	MemBudget int64    `json:"mem_budget"`
+	Engine    string `json:"engine"`
+	TimeoutMS int64  `json:"timeout_ms"`
+	MaxStates int    `json:"max_states"`
+	MemBudget int64  `json:"mem_budget"`
 	// ProgressStride only sets how often the run sends progress events;
 	// it never changes the result, so it stays out of the cache key. A
 	// job that joins an identical in-flight run streams events at that
@@ -149,9 +135,6 @@ type JobStatus struct {
 	System   string `json:"system"`
 	Property string `json:"property"`
 	Engine   string `json:"engine"`
-	// Engines lists the portfolio contenders in tie-break order (absent
-	// for single-engine jobs).
-	Engines []string `json:"engines,omitempty"`
 	// Key is the content-addressed cache key of the (spec, property,
 	// options) triple.
 	Key       string `json:"key"`
@@ -167,10 +150,6 @@ type JobResult struct {
 	// Violation is the counterexample for violated verdicts.
 	Violation *WireViolation `json:"violation,omitempty"`
 	Stats     *core.Stats    `json:"stats,omitempty"`
-	// Portfolio reports the per-engine outcomes of a portfolio job: the
-	// winner, each contender's verdict and duration, and whether the
-	// merged verdict was decisive.
-	Portfolio *core.PortfolioStats `json:"portfolio,omitempty"`
 	// Error is the engine failure for failed jobs.
 	Error string `json:"error,omitempty"`
 }
@@ -379,38 +358,12 @@ func normalizeOptions(o *RequestOptions, d KeyDefaults) (EngineOptions, *apiErro
 			"options must be non-negative (timeout_ms=%d max_states=%d mem_budget=%d progress_stride=%d)",
 			o.TimeoutMS, o.MaxStates, o.MemBudget, o.ProgressStride)
 	}
-	if len(o.Engines) > 0 {
-		if o.Engine != "" {
-			return EngineOptions{}, badRequestf(codeBadOptions, "engine and engines are mutually exclusive")
-		}
-		seen := make(map[string]bool, len(o.Engines))
-		for _, name := range o.Engines {
-			if name == "" {
-				return EngineOptions{}, badRequestf(codeBadOptions, "engines contains an empty name")
-			}
-			if seen[name] {
-				return EngineOptions{}, badRequestf(codeBadOptions, "engines lists %q twice", name)
-			}
-			seen[name] = true
-		}
-	}
 	e := EngineOptions{
 		Engine:         o.Engine,
 		TimeoutMS:      o.TimeoutMS,
 		MaxStates:      o.MaxStates,
 		MemBudget:      o.MemBudget,
 		ProgressStride: o.ProgressStride,
-	}
-	// Canonicalize the engine selection before the cache key is derived:
-	// a one-element portfolio IS that engine, and real portfolios get
-	// the fixed "portfolio" label with the ordered contender list in
-	// Engines.
-	switch {
-	case len(o.Engines) == 1:
-		e.Engine = o.Engines[0]
-	case len(o.Engines) > 1:
-		e.Engine = EnginePortfolio
-		e.Engines = append([]string(nil), o.Engines...)
 	}
 	if e.Engine == "" {
 		e.Engine = EngineVerifas
@@ -506,7 +459,6 @@ func (j *job) snapshotResult() JobResult {
 			Verdict:   j.cached.Verdict.String(),
 			Violation: wireViolation(j.cached.Violation),
 			Stats:     &stats,
-			Portfolio: j.cached.Portfolio,
 		}
 	}
 	out := JobResult{JobStatus: j.snapshotStatus()}
@@ -526,7 +478,6 @@ func (j *job) snapshotResult() JobResult {
 		out.Violation = wireViolation(e.result.Violation)
 		stats := e.result.Stats
 		out.Stats = &stats
-		out.Portfolio = e.result.Portfolio
 	}
 	return out
 }

@@ -1,13 +1,11 @@
 // Package service turns the VERIFAS engines into a long-lived
 // verification server: jobs (spec + LTL-FO property + options) are
 // submitted over HTTP/JSON, executed on a bounded worker pool through the
-// shared core.Engine dispatch — a single engine by name (the paper's
-// ablations are names too, such as "verifas-nosp"), or a portfolio
-// racing several built-in engines with first-decisive-verdict-wins (the
-// "engines" job option) — observed live through a streaming events
-// endpoint carrying the core.Observer event model, and answered from a
-// content-addressed result cache when an identical job was verified
-// before. Identical in-flight jobs coalesce
+// shared core.Engine dispatch — one engine by name (the paper's
+// ablations are names too, such as "verifas-nosp") — observed live
+// through a streaming events endpoint carrying the core.Observer event
+// model, and answered from a content-addressed result cache when an
+// identical job was verified before. Identical in-flight jobs coalesce
 // onto one engine run (singleflight, the only in-flight coalescing
 // layer; in a fleet the router sends each key to one replica); a bounded
 // queue applies admission control (429 + Retry-After on overflow);
@@ -45,16 +43,11 @@ import (
 // EngineVerifas is the engine of jobs that name none. Any built-in
 // engine name (engines.Names: "verifas" and its ablation
 // variants, "spinlike", "spinlike-bitstate") is accepted.
-// EnginePortfolio is the synthesized label of jobs that set the
-// "engines" list.
-const (
-	EngineVerifas   = "verifas"
-	EnginePortfolio = "portfolio"
-)
+const EngineVerifas = "verifas"
 
 // EngineFunc resolves a normalized option set and a per-run observer into
 // a runnable engine. The default (nil) dispatch covers every built-in
-// engine name plus portfolio jobs; tests inject synthetic engines through it.
+// engine name; tests inject synthetic engines through it.
 type EngineFunc func(opts EngineOptions, observer core.Observer) (core.Engine, error)
 
 // Config sizes the server. The zero value serves with sensible defaults.
@@ -216,17 +209,10 @@ func (o EngineOptions) budget(observer core.Observer) core.Budget {
 }
 
 // BuiltinEngine is the default engine dispatch: engines.Build over the
-// job's contender list, or over its single engine name. A portfolio's
-// contenders share one budget and run unobserved; the observer receives
-// the portfolio-level stream (EngineStart/EngineDone plus the merged
-// verdict). Injected Config.Engine overrides can delegate to it to wrap
-// the real engines.
+// job's engine name. Injected Config.Engine overrides can delegate to it
+// to wrap the real engines.
 func BuiltinEngine(o EngineOptions, observer core.Observer) (core.Engine, error) {
-	names := o.Engines
-	if len(names) == 0 {
-		names = []string{o.Engine}
-	}
-	eng, err := engines.Build(names, o.budget(observer))
+	eng, err := engines.Build(o.Engine, o.budget(observer))
 	if err != nil {
 		return nil, fmt.Errorf("service: %w", err)
 	}
@@ -260,7 +246,6 @@ func (s *Server) submit(r *resolved) (JobStatus, int, *apiError) {
 		System:    r.sys.Name,
 		Property:  r.prop.Name,
 		Engine:    r.eopts.Engine,
-		Engines:   r.eopts.Engines,
 		Key:       r.key,
 		CreatedMS: j.created.UnixMilli(),
 	}
@@ -405,6 +390,11 @@ func (s *Server) runExecution(e *execution) {
 	s.met.engineRuns.Add(1)
 	res, err := e.run.Verify(e.ctx, e.res.sys, e.res.prop)
 	switch {
+	case e.ctx.Err() != nil:
+		// Canceled by DELETE or a drain: whatever the engine returned
+		// after the cut is never stored.
+		s.finishExecution(e, StateCanceled, nil, err)
+		e.hub.terminalCanceled()
 	case err == nil && res != nil:
 		// Put is cheap on the job's completion path: the memory tier
 		// inserts synchronously (so a follow-up submission of the same
@@ -416,9 +406,6 @@ func (s *Server) runExecution(e *execution) {
 		// The verdict event already reached the hub through the
 		// observer; it is the stream's terminal record.
 		e.hub.close()
-	case e.ctx.Err() != nil:
-		s.finishExecution(e, StateCanceled, nil, err)
-		e.hub.terminalCanceled()
 	default:
 		s.met.failed.Add(1)
 		s.finishExecution(e, StateFailed, nil, err)

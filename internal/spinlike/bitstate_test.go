@@ -33,7 +33,7 @@ func verifyOpts(t *testing.T, sys *has.System, prop *core.Property, opts Options
 // TestBitstateDifferential runs the bounded checker in exact and bitstate
 // mode over the standard properties: verdicts and state counts must
 // agree on these small systems (a hash collision is ~2^-128), and only
-// the bitstate configuration may declare itself lossy.
+// the bitstate configuration runs under the bitstate engine name.
 func TestBitstateDifferential(t *testing.T) {
 	props := []*core.Property{
 		{
@@ -51,11 +51,8 @@ func TestBitstateDifferential(t *testing.T) {
 			Formula: ltl.MustParse(`G (close(CheckCredit) -> decided)`),
 		},
 	}
-	if (Options{}).Caps().Lossy {
-		t.Error("exact configuration declares itself lossy")
-	}
-	if !(Options{Bitstate: true}).Caps().Lossy {
-		t.Error("bitstate configuration does not declare itself lossy")
+	if Engine(Options{}).Name() != EngineName {
+		t.Error("exact configuration runs under the bitstate engine name")
 	}
 	for _, buggy := range []bool{false, true} {
 		sys := workflows.OrderFulfillment(buggy)
@@ -77,13 +74,13 @@ func TestBitstateDifferential(t *testing.T) {
 	}
 }
 
-// TestBitstateCoverageReporting: the bitstate engine declares the lossy
-// caveat, so portfolio mode can see the coverage gap, and still reports
-// its memory accounting.
+// TestBitstateCoverageReporting: the lossy bitstate configuration runs
+// under its own engine name, so its coverage gap is visible, and still
+// reports its memory accounting.
 func TestBitstateCoverageReporting(t *testing.T) {
 	opts := Options{Bitstate: true}
-	if !Engine(opts).Caps().Lossy {
-		t.Fatal("bitstate engine not flagged lossy")
+	if Engine(opts).Name() != BitstateEngineName {
+		t.Fatalf("bitstate engine named %q", Engine(opts).Name())
 	}
 	res := verifyOpts(t, workflows.OrderFulfillment(false), &core.Property{
 		Task:    "ProcessOrders",

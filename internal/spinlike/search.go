@@ -632,7 +632,7 @@ func (c *checker) checkForGlobals(gv fol.MapValuation) (bool, bool, bool) {
 	// bitstate mode keys it by a double 64-bit hash of that string, so
 	// the string is transient. A collision of both hashes (~2⁻¹²⁸ per
 	// pair) silently merges two distinct states: lossy coverage, which is
-	// why Options.Bitstate is opt-in and declared in Caps().Lossy.
+	// why Options.Bitstate is opt-in, under its own engine name.
 	var idOf map[string]int
 	var bitOf map[[2]uint64]int
 	if c.bitstate {

@@ -59,8 +59,9 @@ type Options struct {
 	// a hash collision (~2⁻¹²⁸ per pair) silently merges two distinct
 	// states, so a "holds" verdict no longer guarantees full bounded-
 	// domain coverage and a reported cycle could in principle be
-	// fabricated. Off by default; engines that enable it declare
-	// Caps().Lossy so portfolio mode never lets their "holds" decide.
+	// fabricated. Off by default, and named by its own engine,
+	// "spinlike-bitstate", so a lossy "holds" is never mistaken for an
+	// exact one.
 	Bitstate bool
 }
 

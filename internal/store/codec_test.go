@@ -80,7 +80,7 @@ func TestRoundTripAllEnginesAndVerdicts(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			budget := core.Budget{MaxStates: 400_000, Timeout: 60 * time.Second}
-			eng, err := engines.Build([]string{name}, budget)
+			eng, err := engines.Build(name, budget)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,7 +121,7 @@ func TestRoundTripAllEnginesAndVerdicts(t *testing.T) {
 		{"budget-exhausted", core.Budget{MaxStates: 400_000, MaxMemBytes: 1}, core.VerdictBudget},
 	}
 	for _, c := range starved {
-		eng, err := engines.Build([]string{"verifas"}, c.budget)
+		eng, err := engines.Build("verifas", c.budget)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,28 +143,6 @@ func TestRoundTripAllEnginesAndVerdicts(t *testing.T) {
 			t.Errorf("no run produced a %v result; the round-trip property is untested for it", want)
 		}
 	}
-}
-
-// TestRoundTripPortfolio covers the portfolio-shaped result: per-engine
-// outcomes (including canceled losers), winner and decisiveness flags.
-func TestRoundTripPortfolio(t *testing.T) {
-	prop := shipStocked(t)
-	sys := workflows.OrderFulfillment(true)
-	if err := sys.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	portfolio, err := engines.Build(engines.DefaultPortfolio, core.Budget{MaxStates: 400_000, Timeout: 60 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := portfolio.Verify(context.Background(), sys, prop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Portfolio == nil || len(res.Portfolio.Engines) == 0 {
-		t.Fatal("portfolio run produced no portfolio stats")
-	}
-	roundTrip(t, "portfolio", fakeKey("portfolio"), res)
 }
 
 // fakeKey derives a 64-char hex-looking key so the disk fan-out layout in

@@ -10,30 +10,25 @@ import (
 	"verifas/internal/store"
 )
 
-// sampleResult builds a representative terminal result with a witness
-// and portfolio stats, so aliasing bugs in any nested structure show up.
+// sampleResult builds a representative terminal result with a lasso
+// witness, so aliasing bugs in any nested structure show up.
 func sampleResult() *core.Result {
 	return &core.Result{
 		Verdict: core.VerdictViolated,
 		Violation: &core.Violation{
-			Kind: "finite",
+			Kind: "cycle",
 			Prefix: []core.Step{
 				{State: "tau0"},
 				{State: "tau1"},
+			},
+			Cycle: []core.Step{
+				{State: "tau2"},
 			},
 		},
 		Stats: core.Stats{
 			BuchiStates:  3,
 			Reachability: core.PhaseStats{States: 42, Elapsed: 5 * time.Millisecond},
 			Elapsed:      6 * time.Millisecond,
-		},
-		Portfolio: &core.PortfolioStats{
-			Winner:   "verifas",
-			Decisive: true,
-			Engines: []core.EngineOutcome{
-				{Engine: "verifas", Verdict: core.VerdictViolated, Decisive: true, Winner: true},
-				{Engine: "spinlike", Canceled: true},
-			},
 		},
 	}
 }
@@ -100,7 +95,7 @@ func TestMemoryDefensiveCopies(t *testing.T) {
 	// Mutating the original after Put must not reach the store.
 	orig.Verdict = core.VerdictHolds
 	orig.Violation.Prefix[0].State = "CORRUPTED"
-	orig.Portfolio.Engines[0].Engine = "CORRUPTED"
+	orig.Violation.Cycle[0].State = "CORRUPTED"
 
 	first, _, ok := m.Get("k")
 	if !ok {
@@ -112,7 +107,7 @@ func TestMemoryDefensiveCopies(t *testing.T) {
 
 	// Mutating one hit must not corrupt the next.
 	first.Violation.Prefix[1].State = "ALSO CORRUPTED"
-	first.Portfolio.Winner = "nobody"
+	first.Violation.Cycle[0].State = "ALSO CORRUPTED"
 	second, _, _ := m.Get("k")
 	if !reflect.DeepEqual(second, want) {
 		t.Fatalf("a second hit saw the first caller's mutation:\n got %+v\nwant %+v", second, want)
@@ -126,8 +121,8 @@ func TestCloneDeep(t *testing.T) {
 		t.Fatalf("clone differs: %+v vs %+v", orig, cp)
 	}
 	cp.Violation.Prefix[0].State = "mutated"
-	cp.Portfolio.Engines[0].Verdict = core.VerdictHolds
-	if orig.Violation.Prefix[0].State == "mutated" || orig.Portfolio.Engines[0].Verdict == core.VerdictHolds {
+	cp.Violation.Cycle[0].State = "mutated"
+	if orig.Violation.Prefix[0].State == "mutated" || orig.Violation.Cycle[0].State == "mutated" {
 		t.Fatal("clone shares memory with the original")
 	}
 	// Nil-safety and shape preservation.
