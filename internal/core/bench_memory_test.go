@@ -63,7 +63,7 @@ func buildReachTree(tb testing.TB, ts *symbolic.TaskSystem, buchi *ltl.Buchi) *v
 	tb.Helper()
 	prod := newProduct(ts, buchi, OrderPrecedes)
 	prod.ctx = context.Background()
-	tree, err := vass.Explore(prod, vass.Options{MaxStates: DefaultMaxStates, Prune: true, Accelerate: true, UseIndex: true})
+	tree, err := vass.Explore(prod, vass.Options{MaxStates: DefaultMaxStates, UseIndex: true})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -192,22 +192,6 @@ func (p *product) Successors(s vass.State) []vass.Succ {
 	return out
 }
 
-// Key implements vass.System.
-func (p *product) Key(s vass.State) uint64 {
-	ps := s.(*PState)
-	h := ps.PSI.Key()*1000003 + uint64(ps.Node)*2 + 1
-	if ps.Closed {
-		h ^= 0x5bd1e995
-	}
-	return h
-}
-
-// Equal implements vass.System.
-func (p *product) Equal(a, b vass.State) bool {
-	x, y := a.(*PState), b.(*PState)
-	return x.Node == y.Node && x.Closed == y.Closed && x.PSI.Equal(y.PSI)
-}
-
 // Leq implements vass.System with the configured order.
 func (p *product) Leq(a, b vass.State) bool {
 	x, y := a.(*PState), b.(*PState)

@@ -234,9 +234,8 @@ func Verify(ctx context.Context, sys *has.System, prop *Property, opts Options) 
 	}
 
 	res.Stats.BuchiStates = buchi.NumStates()
-	maxStates := opts.MaxStates
-	if maxStates <= 0 {
-		maxStates = DefaultMaxStates
+	if opts.MaxStates <= 0 {
+		opts.MaxStates = DefaultMaxStates
 	}
 
 	// ---- Phase 1: reachability with on-the-fly violation detection.
@@ -245,63 +244,45 @@ func Verify(ctx context.Context, sys *has.System, prop *Property, opts Options) 
 		order = OrderLeq
 	}
 	prod := newProduct(ts, buchi, order)
-	prod.ctx = ctx
 
 	var finViolation *vass.Node
 	var pumpAncestor *vass.Node
 	anyAccepting := false
 
-	reachStart := time.Now()
-	em.phaseStart(PhaseReach)
-	tree, exploreErr := vass.Explore(prod, vass.Options{
-		Prune:          true,
-		Accelerate:     true,
-		UseIndex:       !opts.NoIndexes,
-		MaxStates:      maxStates,
-		MaxMemBytes:    opts.MaxMemBytes,
-		MemExtra:       internerExtra(ts),
-		Ctx:            ctx,
-		OnProgress:     em.searchProgress(PhaseReach),
-		ProgressStride: em.stride,
-		OnNode: func(n *vass.Node) bool {
-			ps := n.S.(*PState)
-			if prod.FinViolation(ps) {
-				finViolation = n
-				return true
-			}
-			if prod.Accepting(ps) {
-				anyAccepting = true
-			}
-			return false
-		},
-		OnAccelerate: func(anc *vass.Node, _ vass.State) bool {
-			// The tree path from the ancestor to the current node is a
-			// pumpable cycle: every Büchi node on it recurs infinitely
-			// often. Only the ancestor's Büchi node is tested: if it is
-			// accepting, the property is violated (ω states are
-			// inherently repeatedly reachable). An accepting node
-			// elsewhere on the path is left to the RR phase.
-			if opts.SkipRepeatedReachability {
-				return false
-			}
-			if prod.Accepting(anc.S.(*PState)) {
-				pumpAncestor = anc
-				return true
-			}
-			return false
-		},
-	})
-	res.Stats.Reachability = treeStats(tree, reachStart)
-	em.phaseEnd(PhaseReach, res.Stats.Reachability)
-	if exploreErr != nil {
-		if errors.Is(exploreErr, context.Canceled) {
-			return nil, exploreErr
+	onNode := func(n *vass.Node) bool {
+		ps := n.S.(*PState)
+		if prod.FinViolation(ps) {
+			finViolation = n
+			return true
 		}
-		if errors.Is(exploreErr, vass.ErrMemBudget) {
-			return finish(VerdictBudget)
+		if prod.Accepting(ps) {
+			anyAccepting = true
 		}
-		// State budget or deadline exhausted.
-		return finish(VerdictTimedOut)
+		return false
+	}
+	onAccelerate := func(anc *vass.Node, _ vass.State) bool {
+		// The tree path from the ancestor to the current node is a
+		// pumpable cycle: every Büchi node on it recurs infinitely often.
+		// Only the ancestor's Büchi node is tested: if it is accepting,
+		// the property is violated (ω states are inherently repeatedly
+		// reachable). An accepting node elsewhere on the path is left to
+		// the RR phase.
+		if opts.SkipRepeatedReachability {
+			return false
+		}
+		if prod.Accepting(anc.S.(*PState)) {
+			pumpAncestor = anc
+			return true
+		}
+		return false
+	}
+	_, reach, stop, err := search(ctx, prod, PhaseReach, opts, em, onNode, onAccelerate)
+	res.Stats.Reachability = reach
+	if err != nil {
+		return nil, err
+	}
+	if stop != VerdictUnknown {
+		return finish(stop)
 	}
 
 	if finViolation != nil {
@@ -315,7 +296,7 @@ func Verify(ctx context.Context, sys *has.System, prop *Property, opts Options) 
 
 	// ---- Phase 2: repeated reachability for infinite-run violations.
 	if !opts.SkipRepeatedReachability && anyAccepting {
-		v, rrStats, stop, err := repeatedReachability(ctx, ts, buchi, opts, maxStates, em)
+		v, rrStats, stop, err := repeatedReachability(ctx, ts, buchi, opts, em)
 		res.Stats.RR = rrStats
 		if err != nil {
 			return nil, err
@@ -333,12 +314,56 @@ func Verify(ctx context.Context, sys *has.System, prop *Property, opts Options) 
 	// truncates once ctx is done) and still run to an empty worklist, so
 	// "holds" stands only if ctx was live after the last search step.
 	// A violation found before the cut is a real path and stands anyway.
-	if err := ctx.Err(); errors.Is(err, context.Canceled) {
+	if stop, err := stopVerdict(ctx.Err()); err != nil {
 		return nil, err
-	} else if err != nil {
-		return finish(VerdictTimedOut)
+	} else if stop != VerdictUnknown {
+		return finish(stop)
 	}
 	return finish(VerdictHolds)
+}
+
+// search runs one Karp-Miller search of prod, the product under the
+// phase's order, inside the run's budgets and context, and reports it to
+// the observer as phase. onNode and onAccelerate are phase 1's violation
+// hooks; RR passes nil. The partial tree and stats come back on every
+// path; the search error is mapped by stopVerdict.
+func search(ctx context.Context, prod *product, phase Phase, opts Options, em emitter,
+	onNode func(*vass.Node) bool, onAccelerate func(*vass.Node, vass.State) bool) (*vass.Tree, PhaseStats, Verdict, error) {
+	prod.ctx = ctx
+	start := time.Now()
+	em.phaseStart(phase)
+	tree, err := vass.Explore(prod, vass.Options{
+		UseIndex:       !opts.NoIndexes,
+		MaxStates:      opts.MaxStates,
+		MaxMemBytes:    opts.MaxMemBytes,
+		MemExtra:       internerExtra(prod.ts),
+		Ctx:            ctx,
+		OnProgress:     em.searchProgress(phase),
+		ProgressStride: em.stride,
+		OnNode:         onNode,
+		OnAccelerate:   onAccelerate,
+	})
+	stats := treeStats(tree, start)
+	em.phaseEnd(phase, stats)
+	stop, err := stopVerdict(err)
+	return tree, stats, stop, err
+}
+
+// stopVerdict maps a search error, or the run context's error after the
+// last search step, to the terminal verdict it forces: none →
+// VerdictUnknown (go on), cancellation → the error itself, memory budget
+// → VerdictBudget, state budget or deadline → VerdictTimedOut.
+func stopVerdict(err error) (Verdict, error) {
+	switch {
+	case err == nil:
+		return VerdictUnknown, nil
+	case errors.Is(err, context.Canceled):
+		return VerdictUnknown, err
+	case errors.Is(err, vass.ErrMemBudget):
+		return VerdictBudget, nil
+	default:
+		return VerdictTimedOut, nil
+	}
 }
 
 // treeStats converts an exploration's counters into PhaseStats.

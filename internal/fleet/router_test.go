@@ -296,6 +296,7 @@ func TestRouterRelayContentLength(t *testing.T) {
 			t.Errorf("%s: Content-Length %d, Transfer-Encoding %v, body %d bytes; want the body's length and no chunking",
 				what, resp.ContentLength, resp.TransferEncoding, len(body))
 		}
+		checkCompact(t, what, body)
 		return body
 	}
 	var st service.JobStatus
@@ -449,8 +450,26 @@ func TestRouterReadyz(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	body, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz = %d, want 200", resp.StatusCode)
+	}
+	checkCompact(t, "GET /healthz", body)
+}
+
+// checkCompact fails unless body is one JSON value without insignificant
+// whitespace, ended by a newline.
+func checkCompact(t *testing.T, what string, body []byte) {
+	t.Helper()
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, body); err != nil {
+		t.Fatalf("%s: body is not JSON: %v", what, err)
+	}
+	if want := append(compact.Bytes(), '\n'); !bytes.Equal(body, want) {
+		t.Errorf("%s: body %q, want the compact %q", what, body, want)
 	}
 }

@@ -198,6 +198,11 @@ func (x *Index) Supersets(q []uint64) []int {
 	return out
 }
 
+// DropSupersets releases the trie behind the superset queries, for an
+// index that will only answer subset queries from now on. Supersets and
+// SupersetsSeq must not be called afterwards.
+func (x *Index) DropSupersets() { x.trie = nil }
+
 // SupersetsSeq streams the ids Supersets returns, in the same order, to
 // yield; yield returning false stops the query early.
 func (x *Index) SupersetsSeq(q []uint64, yield func(id int) bool) {

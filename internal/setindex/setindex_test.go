@@ -231,6 +231,10 @@ func TestRetire(t *testing.T) {
 			t.Errorf("round %d: SupersetsSeq(∅) = %v, want every id", round, sup)
 		}
 	}
+	x.DropSupersets()
+	if got, want := asSet(x.Subsets(q)), asSet([]int{1, 3, 4, 5}); !reflect.DeepEqual(got, want) {
+		t.Errorf("after DropSupersets: Subsets = %v, want %v", got, want)
+	}
 }
 
 // A subset query stopped early mid-list, after it has dropped retired ids

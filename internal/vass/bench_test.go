@@ -30,7 +30,7 @@ func BenchmarkExploreVec(b *testing.B) {
 	sys := benchVASS(20, 4)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tree, err := Explore(sys, Options{Prune: true, Accelerate: true})
+		tree, err := Explore(sys, Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

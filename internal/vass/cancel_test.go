@@ -7,15 +7,15 @@ import (
 	"time"
 )
 
-// unboundedLoop is an infinite search when acceleration is disabled: the
+// unboundedLoop is an infinite search, its acceleration hidden: the
 // single increment transition keeps producing strictly larger
 // configurations, so Explore can only return via its budget or context.
-func unboundedLoop() *Vec {
-	return &Vec{
+func unboundedLoop() System {
+	return noAccel{&Vec{
 		Dim:   1,
 		Init:  VConfig{Loc: 0, C: []Count{0}},
 		Trans: []VTrans{{From: 0, To: 0, Delta: []Count{1}}},
-	}
+	}}
 }
 
 func TestExploreCancellation(t *testing.T) {

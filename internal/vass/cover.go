@@ -7,13 +7,15 @@ import "sort"
 // states, whose non-trivial strongly connected components identify the
 // repeatedly reachable symbolic states.
 
-// CoverGraph is the coverability graph over a set of nodes, whose edges
-// are I → J  iff  ∃s ∈ succ(I): s ≤ J (J covers the successor), with ≤
-// the system's order. It is built once and serves both CycleNodes and
-// CycleWitness.
+// CoverGraph is the coverability graph over a tree's active nodes, whose
+// edges are I → J  iff  ∃s ∈ succ(I): s ≤ J (J covers the successor),
+// with ≤ the system's order. It is built once and serves both CycleNodes
+// and CycleWitness.
 type CoverGraph struct {
 	nodes []*Node
-	pos   map[*Node]int
+	// pos maps a tree node ID to its position in nodes (-1 = inactive).
+	// Active lists nodes in ID order, so the map is monotone.
+	pos []int
 	// out[i] holds the edges of nodes[i]: for each successor in
 	// Successors order, every covering node by ascending position. A node
 	// covering several successors appears once per successor, each time
@@ -26,32 +28,30 @@ type coverEdge struct {
 	label any
 }
 
-// NewCoverGraph builds the coverability graph over nodes, computing each
-// node's successors once. With useIndex, the covering candidates of a
-// successor come from a per-class set index (see System.IndexSet) and
-// are confirmed by Leq; without it every node is tested. Both give the
-// same edges in the same order.
-func NewCoverGraph(sys System, nodes []*Node, useIndex bool) *CoverGraph {
+// CoverGraph builds the coverability graph over the tree's active nodes,
+// computing each node's successors once; sys is the system the tree was
+// searched with. A tree searched with Options.UseIndex draws the covering
+// candidates of a successor from the search's own index, whose subset
+// side holds exactly the active nodes, and confirms them by Leq; a tree
+// searched without it tests every active node. Both give the same edges
+// in the same order.
+func (t *Tree) CoverGraph(sys System) *CoverGraph {
+	nodes := t.Active()
 	g := &CoverGraph{
 		nodes: nodes,
-		pos:   make(map[*Node]int, len(nodes)),
+		pos:   make([]int, len(t.Nodes)),
 		out:   make([][]coverEdge, len(nodes)),
 	}
-	for i, nd := range nodes {
-		g.pos[nd] = i
+	for i := range g.pos {
+		g.pos[i] = -1
 	}
-	var idx *classIndex
-	if useIndex {
-		idx = newClassIndex()
-		for i, nd := range nodes {
-			class, set := sys.IndexSet(nd.S)
-			idx.insert(i, class, set)
-		}
+	for i, nd := range nodes {
+		g.pos[nd.ID] = i
 	}
 	var cands []int
 	for i, nd := range nodes {
 		for _, sc := range sys.Successors(nd.S) {
-			cands = coverCandidates(sys, idx, len(nodes), sc.S, cands[:0])
+			cands = g.candidates(sys, t.idx, sc.S, cands[:0])
 			for _, j := range cands {
 				if sys.Leq(sc.S, nodes[j].S) {
 					g.out[i] = append(g.out[i], coverEdge{to: j, label: sc.Label})
@@ -62,19 +62,19 @@ func NewCoverGraph(sys System, nodes []*Node, useIndex bool) *CoverGraph {
 	return g
 }
 
-// coverCandidates appends to dst, ascending, the positions j that may
-// satisfy s ≤ nodes[j]: the index's subset candidates, or all n positions
-// without an index.
-func coverCandidates(sys System, idx *classIndex, n int, s State, dst []int) []int {
+// candidates appends to dst, ascending, the positions j that may satisfy
+// s ≤ nodes[j]: the positions of the index's subset candidates, or every
+// position without an index.
+func (g *CoverGraph) candidates(sys System, idx *classIndex, s State, dst []int) []int {
 	if idx == nil {
-		for j := 0; j < n; j++ {
+		for j := range g.nodes {
 			dst = append(dst, j)
 		}
 		return dst
 	}
 	class, set := sys.IndexSet(s)
-	idx.anySubset(class, set, func(j int) bool {
-		dst = append(dst, j)
+	idx.anySubset(class, set, func(id int) bool {
+		dst = append(dst, g.pos[id])
 		return false
 	})
 	sort.Ints(dst)
@@ -108,10 +108,10 @@ func (g *CoverGraph) CycleNodes() map[*Node]bool {
 // one cycle through it (for counterexample display). Returns nil if no
 // cycle is found (should not happen for nodes reported by CycleNodes).
 func (g *CoverGraph) CycleWitness(start *Node) []any {
-	si, ok := g.pos[start]
-	if !ok {
+	if start.ID >= len(g.pos) || g.pos[start.ID] < 0 {
 		return nil
 	}
+	si := g.pos[start.ID]
 	adj := g.out
 	// BFS from start's successors back to start.
 	type crumb struct {

@@ -2,16 +2,15 @@ package vass
 
 import "verifas/internal/setindex"
 
-// classIndex adapts setindex to the searches: it keeps one set index per
+// classIndex adapts setindex to the search: it keeps one set index per
 // equality class (see System.IndexSet) and maps each class's dense index
-// ids back to caller ids (tree node IDs for the exploration, positions in
-// the node slice for the coverability graph). Leq never relates states of
-// different classes, so a query touches only its own class, and a class
-// with nothing stored answers at once. Caller ids must be dense and
-// inserted in order (0, 1, 2, ...).
+// ids back to tree node IDs. Leq never relates states of different
+// classes, so a query touches only its own class, and a class with
+// nothing stored answers at once. Node IDs must be dense and inserted in
+// order (0, 1, 2, ...).
 type classIndex struct {
 	classes map[uint64]*classSets
-	// entries maps a caller id to its class and dense id there.
+	// entries maps a node ID to its class and dense id there.
 	entries []classEntry
 }
 
@@ -49,6 +48,15 @@ func (x *classIndex) insert(id int, class uint64, set []uint64) {
 func (x *classIndex) retire(id int) {
 	en := x.entries[id]
 	en.c.idx.Retire(int(en.id))
+}
+
+// finish drops what only the search reads, the superset side and the
+// entries behind retire, and keeps the subset side for anySubset.
+func (x *classIndex) finish() {
+	x.entries = nil
+	for _, c := range x.classes {
+		c.idx.DropSupersets()
+	}
 }
 
 // anySubset streams the ids of the class's unretired entries whose

@@ -24,7 +24,7 @@ func TestMemBytesAccounting(t *testing.T) {
 			{From: 1, To: 2, Delta: []Count{-1}},
 		},
 	}
-	tree, err := Explore(v, Options{Prune: true, Accelerate: true})
+	tree, err := Explore(v, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestMemBytesAccounting(t *testing.T) {
 	}
 
 	sized := &sizedVec{Vec: v, perState: 1000}
-	tree2, err := Explore(sized, Options{Prune: true, Accelerate: true})
+	tree2, err := Explore(sized, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestMemBudgetExhausted(t *testing.T) {
 		Init:  VConfig{Loc: 0, C: []Count{0}},
 		Trans: []VTrans{{From: 0, To: 0, Delta: []Count{1}}},
 	}
-	tree, err := Explore(v, Options{Prune: false, Accelerate: false,
+	tree, err := Explore(noAccel{v}, Options{
 		MaxStates: 1 << 30, MaxMemBytes: 10 * (nodeOverheadBytes + defaultStateBytes)})
 	if err != ErrMemBudget {
 		t.Fatalf("expected ErrMemBudget, got %v", err)
@@ -75,14 +75,13 @@ func TestMemBudgetCountsMemExtra(t *testing.T) {
 	}
 	// A MemExtra larger than the budget must trip it immediately even
 	// though the tree itself is tiny.
-	_, err := Explore(v, Options{Prune: true, Accelerate: true,
+	_, err := Explore(v, Options{
 		MaxMemBytes: 1 << 20, MemExtra: func() int64 { return 2 << 20 }})
 	if err != ErrMemBudget {
 		t.Fatalf("expected ErrMemBudget via MemExtra, got %v", err)
 	}
 	// Same budget without the extra completes.
-	if _, err := Explore(v, Options{Prune: true, Accelerate: true,
-		MaxMemBytes: 1 << 20}); err != nil {
+	if _, err := Explore(v, Options{MaxMemBytes: 1 << 20}); err != nil {
 		t.Fatalf("budget without MemExtra should pass: %v", err)
 	}
 }
@@ -93,14 +92,14 @@ func TestZeroMemBudgetUnlimited(t *testing.T) {
 		Init:  VConfig{Loc: 0, C: []Count{0}},
 		Trans: []VTrans{{From: 0, To: 0, Delta: []Count{1}}},
 	}
-	if _, err := Explore(v, Options{Prune: true, Accelerate: true, MaxMemBytes: 0}); err != nil {
+	if _, err := Explore(v, Options{MaxMemBytes: 0}); err != nil {
 		t.Fatalf("zero budget must mean unlimited: %v", err)
 	}
 }
 
 // wideLoop is an infinite system with high branching: every transition
-// bumps a different counter pair, so without pruning the frontier widens
-// geometrically.
+// bumps a different counter pair, so without acceleration the search
+// never ends.
 func wideLoop() *Vec {
 	const dim = 4
 	v := &Vec{Dim: dim, Init: VConfig{Loc: 0, C: make([]Count, dim)}}
@@ -122,7 +121,7 @@ func TestMemBudgetBounded(t *testing.T) {
 	// One processed node commits at most 16 successors (the branching of
 	// wideLoop) between budget checks.
 	const slack = 16 * (nodeOverheadBytes + defaultStateBytes)
-	tree, err := Explore(wideLoop(), Options{MaxMemBytes: limit})
+	tree, err := Explore(noAccel{wideLoop()}, Options{MaxMemBytes: limit})
 	if !errors.Is(err, ErrMemBudget) {
 		t.Fatalf("got %v, want ErrMemBudget", err)
 	}
@@ -139,7 +138,7 @@ func TestChildLinks(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
 		v := randomVASS(r)
-		tree, err := Explore(v, Options{Prune: trial%2 == 0, Accelerate: true, MaxStates: 5000})
+		tree, err := Explore(v, Options{MaxStates: 5000})
 		if err != nil {
 			continue
 		}
@@ -172,16 +171,10 @@ func TestChildLinks(t *testing.T) {
 // stay valid (addressing the same node) as the tree grows across block
 // boundaries.
 func TestArenaPointerStability(t *testing.T) {
-	v := &Vec{
-		Dim:  2,
-		Init: VConfig{Loc: 0, C: []Count{0, 0}},
-		Trans: []VTrans{
-			{From: 0, To: 0, Delta: []Count{1, 0}},
-			{From: 0, To: 0, Delta: []Count{0, 1}},
-		},
-	}
-	// Force well past one arena block (1024 nodes) without acceleration.
-	tree, err := Explore(v, Options{Prune: false, Accelerate: false, MaxStates: 3 * nodeArenaBlock})
+	// Force well past one arena block (1024 nodes): the token ring never
+	// accelerates, so the tree enumerates its 3,276 markings up to the
+	// state budget.
+	tree, err := Explore(benchVASS(25, 4), Options{MaxStates: 3 * nodeArenaBlock})
 	if err != nil && err != ErrBudget {
 		t.Fatal(err)
 	}

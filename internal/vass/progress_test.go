@@ -19,8 +19,6 @@ func producerConsumer() *Vec {
 func TestOnProgressStride(t *testing.T) {
 	var snaps []Progress
 	tree, err := Explore(producerConsumer(), Options{
-		Prune:      true,
-		Accelerate: true,
 		OnProgress: func(p Progress) {
 			snaps = append(snaps, p)
 		},
@@ -56,8 +54,6 @@ func TestOnProgressFinalSnapshotOnly(t *testing.T) {
 	// snapshot.
 	var snaps []Progress
 	tree, err := Explore(producerConsumer(), Options{
-		Prune:      true,
-		Accelerate: true,
 		OnProgress: func(p Progress) {
 			snaps = append(snaps, p)
 		},
@@ -77,8 +73,7 @@ func TestOnProgressFinalSnapshotOnly(t *testing.T) {
 func TestOnProgressBudgetExit(t *testing.T) {
 	// Budget exhaustion must still deliver the final snapshot.
 	var snaps []Progress
-	_, err := Explore(producerConsumer(), Options{
-		Prune:     false,
+	_, err := Explore(noAccel{producerConsumer()}, Options{
 		MaxStates: 3,
 		OnProgress: func(p Progress) {
 			snaps = append(snaps, p)

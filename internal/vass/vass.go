@@ -1,9 +1,10 @@
 // Package vass implements the Karp-Miller coverability construction for
 // vector addition systems with states, in the generic form used by
-// VERIFAS: the classic algorithm (paper Algorithm 1) and the
-// Reynier-Servais variant with monotone pruning (paper Section 3.4),
-// parameterized by a pluggable state domain so the verifier core can run it
-// over partial symbolic instances and tests can run it over plain vectors.
+// VERIFAS: the Reynier-Servais variant with monotone pruning (paper
+// Section 3.4) and ω-acceleration, parameterized by a pluggable state
+// domain so the verifier core can run it over partial symbolic instances
+// and tests can run it over plain vectors. The classic algorithm (paper
+// Algorithm 1) is kept only as a test oracle.
 package vass
 
 import (
@@ -26,10 +27,6 @@ type System interface {
 	Initial() []State
 	// Successors enumerates succ(s).
 	Successors(s State) []Succ
-	// Key hashes a state (collisions resolved by Equal).
-	Key(s State) uint64
-	// Equal reports full state equality.
-	Equal(a, b State) bool
 	// Leq is the pruning/coverage order in force (≤ or ⪯ depending on
 	// the optimization configuration).
 	Leq(a, b State) bool
@@ -114,15 +111,9 @@ func (n *Node) IsAncestorOf(m *Node) bool {
 
 // Options configure the exploration.
 type Options struct {
-	// Prune enables Reynier-Servais monotone pruning; without it the
-	// classic Karp-Miller algorithm (Algorithm 1) runs, deduplicating
-	// only exact repeats.
-	Prune bool
-	// Accelerate enables the ω-acceleration operator.
-	Accelerate bool
 	// UseIndex enables the Trie/inverted-list candidate indexes for act
-	// maintenance (paper Section 3.6). Only the pruning queries use them,
-	// so without Prune it has no effect.
+	// maintenance (paper Section 3.6). The tree keeps the index, and
+	// Tree.CoverGraph draws its covering candidates from it.
 	UseIndex bool
 	// MaxStates aborts the search after creating this many nodes
 	// (0 = unlimited).
@@ -221,10 +212,15 @@ type Tree struct {
 	// overhead plus state estimates; MemExtra is not folded in because it
 	// describes structure outside the tree).
 	MemBytes int64
+	// idx is the search's index (nil without Options.UseIndex). Its
+	// subset side holds exactly the active nodes: deactivateSubtree
+	// retires each node it flips inactive. Once the search returns, only
+	// the subset side is kept.
+	idx *classIndex
 }
 
-// Active returns the active nodes — with pruning these form the
-// coverability set; without pruning all nodes are active.
+// Active returns the active nodes, in ID order; once the search has run
+// to completion they form the coverability set.
 func (t *Tree) Active() []*Node {
 	var out []*Node
 	for _, n := range t.Nodes {
@@ -235,18 +231,14 @@ func (t *Tree) Active() []*Node {
 	return out
 }
 
-// Explore runs the (pruned) Karp-Miller construction to completion, or
-// until a callback stops it, or until the state budget is exceeded
-// (ErrBudget), or until opts.Ctx is done (its ctx.Err()).
+// Explore runs the pruned, accelerated Karp-Miller construction to
+// completion, or until a callback stops it, or until the state budget is
+// exceeded (ErrBudget), or until opts.Ctx is done (its ctx.Err()).
 func Explore(sys System, opts Options) (*Tree, error) {
 	e := &explorer{sys: sys, opts: opts, tree: &Tree{}}
 	e.sized, _ = sys.(Sized)
-	if opts.Prune {
-		if opts.UseIndex {
-			e.idx = newClassIndex()
-		}
-	} else {
-		e.byKey = map[uint64][]*Node{}
+	if opts.UseIndex {
+		e.tree.idx = newClassIndex()
 	}
 	stride := opts.ProgressStride
 	if stride <= 0 {
@@ -269,6 +261,9 @@ func Explore(sys System, opts Options) (*Tree, error) {
 	var work []*Node
 	finish := func(t *Tree, err error) (*Tree, error) {
 		t.Stopped = e.stop
+		if t.idx != nil {
+			t.idx.finish()
+		}
 		if opts.OnProgress != nil {
 			emitProgress(len(work))
 		}
@@ -311,15 +306,12 @@ func Explore(sys System, opts Options) (*Tree, error) {
 			// drops pairs whose source has been deactivated — possibly
 			// by a sibling successor created moments ago. Without this
 			// check the construction can livelock.
-			if opts.Prune && !n.Active {
+			if !n.Active {
 				break
 			}
-			s := sc.S
-			if opts.Accelerate {
-				s = e.accelerate(n, s)
-				if e.stop {
-					return finish(e.tree, nil)
-				}
+			s := e.accelerate(n, sc.S)
+			if e.stop {
+				return finish(e.tree, nil)
 			}
 			child := e.newNode(s, sc.Label, n)
 			if child == nil {
@@ -338,14 +330,6 @@ type explorer struct {
 	sys  System
 	opts Options
 	tree *Tree
-	// byKey buckets every node by state hash for the classic
-	// algorithm's duplicate filter (nil with Prune, which never reads it).
-	byKey map[uint64][]*Node
-	// idx indexes every node by its ID (nil without UseIndex and Prune).
-	// Its subset side holds only the active nodes: deactivateSubtree
-	// retires each node it flips inactive. Its superset side holds every
-	// node.
-	idx  *classIndex
 	stop bool
 	// arena block-allocates the tree's nodes.
 	arena nodeArena
@@ -392,45 +376,30 @@ func (e *explorer) accelerate(parent *Node, s State) State {
 
 // newNode inserts a state into the tree, honoring the pruning rules
 // (Reynier-Servais, paper Section 3.4). Returns nil when the state was
-// skipped (dominated or duplicate).
+// skipped (dominated by an active node).
 func (e *explorer) newNode(s State, label any, parent *Node) *Node {
-	var key uint64
 	var class uint64
 	var set []uint64
-	if e.idx != nil {
+	if e.tree.idx != nil {
 		class, set = e.sys.IndexSet(s)
 	}
-	if e.opts.Prune {
-		// Skip if dominated by an active node.
-		if e.dominatedByActive(s, class, set) {
-			e.tree.Skipped++
-			return nil
-		}
-		// Deactivate every node m and its descendants where m.S ≤ s and
-		// m is active or m is not an ancestor of the new node. (An
-		// active ancestor is deactivated too; the new node itself is
-		// added active below, exactly as in Reynier-Servais.) A killed
-		// subtree is skipped before Leq: deactivating it again would
-		// change nothing.
-		e.smallerCandidates(class, set, func(m *Node) {
-			if m.subtreeKilled || !e.sys.Leq(m.S, s) {
-				return
-			}
-			if m.Active || parent == nil || !m.IsAncestorOf(parent) {
-				e.deactivateSubtree(m)
-			}
-		})
-	} else {
-		// Classic algorithm: skip exact duplicates of existing nodes
-		// (the "I'' ∈ T" test of Algorithm 1).
-		key = e.sys.Key(s)
-		for _, m := range e.byKey[key] {
-			if e.sys.Equal(m.S, s) {
-				e.tree.Skipped++
-				return nil
-			}
-		}
+	if e.dominatedByActive(s, class, set) {
+		e.tree.Skipped++
+		return nil
 	}
+	// Deactivate every node m and its descendants where m.S ≤ s and m is
+	// active or m is not an ancestor of the new node. (An active ancestor
+	// is deactivated too; the new node itself is added active below,
+	// exactly as in Reynier-Servais.) A killed subtree is skipped before
+	// Leq: deactivating it again would change nothing.
+	e.smallerCandidates(class, set, func(m *Node) {
+		if m.subtreeKilled || !e.sys.Leq(m.S, s) {
+			return
+		}
+		if m.Active || parent == nil || !m.IsAncestorOf(parent) {
+			e.deactivateSubtree(m)
+		}
+	})
 	n := e.arena.alloc()
 	*n = Node{
 		S: s, Label: label, Parent: parent, Active: true,
@@ -455,11 +424,8 @@ func (e *explorer) newNode(s State, label any, parent *Node) *Node {
 			a.subtreeKilled = false
 		}
 	}
-	if e.byKey != nil {
-		e.byKey[key] = append(e.byKey[key], n)
-	}
-	if e.idx != nil {
-		e.idx.insert(n.ID, class, set)
+	if e.tree.idx != nil {
+		e.tree.idx.insert(n.ID, class, set)
 	}
 	if e.opts.OnNode != nil && e.opts.OnNode(n) {
 		e.stop = true
@@ -474,8 +440,8 @@ func (e *explorer) deactivateSubtree(m *Node) {
 	if m.Active {
 		m.Active = false
 		e.tree.Pruned++
-		if e.idx != nil {
-			e.idx.retire(m.ID)
+		if e.tree.idx != nil {
+			e.tree.idx.retire(m.ID)
 		}
 	}
 	for cid := m.firstChild; cid >= 0; cid = e.tree.Nodes[cid].nextSibling {
@@ -491,8 +457,8 @@ func (e *explorer) deactivateSubtree(m *Node) {
 // the subset side yields active nodes only, since Active never turns back
 // on once deactivateSubtree has retired a node.
 func (e *explorer) dominatedByActive(s State, class uint64, set []uint64) bool {
-	if e.idx != nil {
-		return e.idx.anySubset(class, set, func(id int) bool {
+	if e.tree.idx != nil {
+		return e.tree.idx.anySubset(class, set, func(id int) bool {
 			return e.sys.Leq(s, e.tree.Nodes[id].S)
 		})
 	}
@@ -511,13 +477,13 @@ func (e *explorer) dominatedByActive(s State, class uint64, set []uint64) bool {
 // is revived when a new node is attached below it, so the trie keeps
 // every node.
 func (e *explorer) smallerCandidates(class uint64, set []uint64, yield func(m *Node)) {
-	if e.idx == nil {
+	if e.tree.idx == nil {
 		for _, m := range e.tree.Nodes {
 			yield(m)
 		}
 		return
 	}
-	e.idx.supersets(class, set, func(id int) {
+	e.tree.idx.supersets(class, set, func(id int) {
 		yield(e.tree.Nodes[id])
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -16,7 +17,7 @@ func TestAccelerationToOmega(t *testing.T) {
 		Init:  VConfig{Loc: 0, C: []Count{0}},
 		Trans: []VTrans{{From: 0, To: 0, Delta: []Count{1}}},
 	}
-	tree, err := Explore(v, Options{Prune: true, Accelerate: true})
+	tree, err := Explore(v, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,11 +49,11 @@ func TestClassicTerminatesWithAcceleration(t *testing.T) {
 			{From: 1, To: 1, Delta: []Count{-1}},
 		},
 	}
-	tree, err := Explore(v, Options{Prune: false, Accelerate: true, MaxStates: 10000})
+	states, err := classicExplore(v, 10000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tree.Nodes) == 0 {
+	if len(states) == 0 {
 		t.Fatal("no nodes")
 	}
 }
@@ -63,7 +64,7 @@ func TestCounterNonNegativity(t *testing.T) {
 		Init:  VConfig{Loc: 0, C: []Count{0}},
 		Trans: []VTrans{{From: 0, To: 0, Delta: []Count{-1}}},
 	}
-	tree, err := Explore(v, Options{Prune: true, Accelerate: true})
+	tree, err := Explore(v, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func randomVASS(r *rand.Rand) *Vec {
 	return v
 }
 
-func covers(v *Vec, act []*Node, c VConfig) bool {
+func covers(v *Vec, act []*Node, c State) bool {
 	for _, n := range act {
 		if v.Leq(c, n.S) {
 			return true
@@ -103,7 +104,7 @@ func TestQuickCoverabilityComplete(t *testing.T) {
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		v := randomVASS(r)
-		tree, err := Explore(v, Options{Prune: true, Accelerate: true, MaxStates: 5000})
+		tree, err := Explore(v, Options{MaxStates: 5000})
 		if err != nil {
 			return true // budget blowup; skip
 		}
@@ -127,21 +128,21 @@ func TestQuickPrunedEquivalentToClassic(t *testing.T) {
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		v := randomVASS(r)
-		tp, err1 := Explore(v, Options{Prune: true, Accelerate: true, MaxStates: 5000})
-		tc, err2 := Explore(v, Options{Prune: false, Accelerate: true, MaxStates: 5000})
+		tp, err1 := Explore(v, Options{MaxStates: 5000})
+		actC, err2 := classicExplore(v, 5000)
 		if err1 != nil || err2 != nil {
 			return true
 		}
-		actP, actC := tp.Active(), tc.Active()
+		actP := tp.Active()
 		for _, n := range actP {
-			if !covers(v, actC, n.S.(VConfig)) {
+			if !slices.ContainsFunc(actC, func(c State) bool { return v.Leq(n.S, c) }) {
 				t.Logf("pruned node %v not covered by classic", n.S)
 				return false
 			}
 		}
-		for _, n := range actC {
-			if !covers(v, actP, n.S.(VConfig)) {
-				t.Logf("classic node %v not covered by pruned", n.S)
+		for _, c := range actC {
+			if !covers(v, actP, c) {
+				t.Logf("classic node %v not covered by pruned", c)
 				return false
 			}
 		}
@@ -159,7 +160,7 @@ func TestQuickPrunedEquivalentToClassic(t *testing.T) {
 // treesIdentical asserts that two exploration results are byte-for-byte
 // the same tree: node count, per-node ID/label/parent/active flag/state,
 // root order, stop flag and every stats counter.
-func treesIdentical(t *testing.T, sys System, a, b *Tree) bool {
+func treesIdentical(t *testing.T, a, b *Tree) bool {
 	t.Helper()
 	if len(a.Nodes) != len(b.Nodes) {
 		t.Logf("node counts differ: %d vs %d", len(a.Nodes), len(b.Nodes))
@@ -180,7 +181,7 @@ func treesIdentical(t *testing.T, sys System, a, b *Tree) bool {
 			t.Logf("node %d parent differs: %d vs %d", i, na.Parent.ID, nb.Parent.ID)
 			return false
 		}
-		if !sys.Equal(na.S, nb.S) {
+		if !reflect.DeepEqual(na.S, nb.S) {
 			t.Logf("node %d state differs: %v vs %v", i, na.S, nb.S)
 			return false
 		}
@@ -209,7 +210,7 @@ func treesIdentical(t *testing.T, sys System, a, b *Tree) bool {
 // exploration builds exactly the tree it builds without it. Vec's class
 // is the location, so the per-class split is exercised.
 func TestQuickIndexTransparent(t *testing.T) {
-	base := Options{Prune: true, Accelerate: true, MaxStates: 5000}
+	base := Options{MaxStates: 5000}
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		v := randomVASS(r)
@@ -221,7 +222,7 @@ func TestQuickIndexTransparent(t *testing.T) {
 			t.Logf("errors differ: %v vs %v", err1, err2)
 			return false
 		}
-		if !treesIdentical(t, v, scan, got) {
+		if !treesIdentical(t, scan, got) {
 			t.Logf("indexed tree differs (VASS %+v)", v)
 			return false
 		}
@@ -273,40 +274,55 @@ func bruteCycleNodes(nodes []*Node, edges [][]coverEdge) map[*Node]bool {
 	return out
 }
 
-// Property: the index-backed coverability graph has exactly the edges of
-// the all-pairs reference, in the same order, so the cycle nodes and
-// every witness lasso agree with it and with the unindexed graph.
+// Property: the coverability graph built from an indexed tree and the one
+// built from an unindexed tree of the same VASS both have exactly the
+// edges of the all-pairs reference, in the same order, so the cycle nodes
+// and every witness lasso agree with it and with each other. Vec indexes
+// empty sets and setVec real ones, so the index's candidates are
+// filtered by set inclusion too.
 func TestQuickCoverGraphMatchesBruteForce(t *testing.T) {
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		v := randomVASS(r)
-		tree, err := Explore(v, Options{Prune: true, Accelerate: true, UseIndex: true, MaxStates: 5000})
-		if err != nil {
-			return true // budget blowup; skip
-		}
-		act := tree.Active()
-		ref := bruteCoverEdges(v, act)
-		refCyc := bruteCycleNodes(act, ref)
-		indexed, scan := NewCoverGraph(v, act, true), NewCoverGraph(v, act, false)
-		for _, g := range []*CoverGraph{indexed, scan} {
-			if !reflect.DeepEqual(g.out, ref) {
-				t.Logf("edges differ from the reference (VASS %+v)", v)
+		for _, sys := range []System{v, setVec{v}} {
+			indexedTree, err := Explore(sys, Options{UseIndex: true, MaxStates: 5000})
+			if err != nil {
+				return true // budget blowup; skip
+			}
+			scanTree, err := Explore(sys, Options{MaxStates: 5000})
+			if err != nil {
+				t.Logf("%T: unindexed search failed: %v", sys, err)
 				return false
 			}
-			if cyc := g.CycleNodes(); !reflect.DeepEqual(cyc, refCyc) {
-				t.Logf("cycle nodes %d, reference %d (VASS %+v)", len(cyc), len(refCyc), v)
+			act, scanAct := indexedTree.Active(), scanTree.Active()
+			ref := bruteCoverEdges(sys, act)
+			refCyc := bruteCycleNodes(act, ref)
+			indexed, scan := indexedTree.CoverGraph(sys), scanTree.CoverGraph(sys)
+			for _, g := range []*CoverGraph{indexed, scan} {
+				if !reflect.DeepEqual(g.out, ref) {
+					t.Logf("%T: edges differ from the reference (VASS %+v)", sys, v)
+					return false
+				}
+			}
+			if cyc := indexed.CycleNodes(); !reflect.DeepEqual(cyc, refCyc) {
+				t.Logf("%T: cycle nodes %d, reference %d (VASS %+v)", sys, len(cyc), len(refCyc), v)
 				return false
 			}
-		}
-		for _, n := range act {
-			w := indexed.CycleWitness(n)
-			if refCyc[n] != (w != nil) {
-				t.Logf("node %v: witness %v, on a cycle %v", n.S, w, refCyc[n])
+			scanCyc := scan.CycleNodes()
+			if len(scanCyc) != len(refCyc) {
+				t.Logf("%T: unindexed cycle nodes %d, reference %d", sys, len(scanCyc), len(refCyc))
 				return false
 			}
-			if !reflect.DeepEqual(w, scan.CycleWitness(n)) {
-				t.Logf("node %v: witnesses differ", n.S)
-				return false
+			for i, n := range act {
+				w := indexed.CycleWitness(n)
+				if refCyc[n] != (w != nil) || scanCyc[scanAct[i]] != refCyc[n] {
+					t.Logf("%T: node %v: witness %v, on a cycle %v", sys, n.S, w, refCyc[n])
+					return false
+				}
+				if !reflect.DeepEqual(w, scan.CycleWitness(scanAct[i])) {
+					t.Logf("%T: node %v: witnesses differ", sys, n.S)
+					return false
+				}
 			}
 		}
 		return true
@@ -327,12 +343,12 @@ func TestCycleNodes(t *testing.T) {
 			{From: 2, To: 1, Delta: []Count{0}},
 		},
 	}
-	tree, err := Explore(v, Options{Prune: true, Accelerate: true})
+	tree, err := Explore(v, Options{UseIndex: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	act := tree.Active()
-	g := NewCoverGraph(v, act, true)
+	g := tree.CoverGraph(v)
 	cyc := g.CycleNodes()
 	for _, n := range act {
 		c := n.S.(VConfig)
@@ -360,9 +376,9 @@ func TestCycleSelfLoop(t *testing.T) {
 		Init:  VConfig{Loc: 0, C: []Count{0}},
 		Trans: []VTrans{{From: 0, To: 0, Delta: []Count{0}}},
 	}
-	tree, _ := Explore(v, Options{Prune: true, Accelerate: true})
+	tree, _ := Explore(v, Options{UseIndex: true})
 	act := tree.Active()
-	g := NewCoverGraph(v, act, true)
+	g := tree.CoverGraph(v)
 	if len(g.CycleNodes()) == 0 {
 		t.Error("self-loop must be detected as a cycle")
 	}
@@ -378,8 +394,8 @@ func TestNoCycle(t *testing.T) {
 		Init:  VConfig{Loc: 0, C: []Count{1}},
 		Trans: []VTrans{{From: 0, To: 1, Delta: []Count{-1}}},
 	}
-	tree, _ := Explore(v, Options{Prune: true, Accelerate: true})
-	cyc := NewCoverGraph(v, tree.Active(), true).CycleNodes()
+	tree, _ := Explore(v, Options{UseIndex: true})
+	cyc := tree.CoverGraph(v).CycleNodes()
 	if len(cyc) != 0 {
 		t.Error("acyclic system must have no cycle nodes")
 	}
@@ -395,8 +411,8 @@ func TestOmegaCycle(t *testing.T) {
 			{From: 0, To: 0, Delta: []Count{1}},
 		},
 	}
-	tree, _ := Explore(v, Options{Prune: true, Accelerate: true})
-	cyc := NewCoverGraph(v, tree.Active(), true).CycleNodes()
+	tree, _ := Explore(v, Options{UseIndex: true})
+	cyc := tree.CoverGraph(v).CycleNodes()
 	found := false
 	for n := range cyc {
 		if n.S.(VConfig).C[0] == VOmega {
@@ -415,7 +431,7 @@ func TestBudget(t *testing.T) {
 		Init:  VConfig{Loc: 0, C: []Count{0}},
 		Trans: []VTrans{{From: 0, To: 0, Delta: []Count{1}}},
 	}
-	_, err := Explore(v, Options{Prune: false, Accelerate: false, MaxStates: 100})
+	_, err := Explore(noAccel{v}, Options{MaxStates: 100})
 	if err != ErrBudget {
 		t.Errorf("expected ErrBudget, got %v", err)
 	}
@@ -430,7 +446,7 @@ func TestPathAndAncestors(t *testing.T) {
 			{From: 1, To: 2, Delta: []Count{0}},
 		},
 	}
-	tree, _ := Explore(v, Options{Prune: true, Accelerate: true})
+	tree, _ := Explore(v, Options{})
 	var leaf *Node
 	for _, n := range tree.Nodes {
 		if n.S.(VConfig).Loc == 2 {
@@ -446,38 +462,5 @@ func TestPathAndAncestors(t *testing.T) {
 	}
 	if !path[0].IsAncestorOf(leaf) || leaf.IsAncestorOf(path[0]) {
 		t.Error("ancestor relation wrong")
-	}
-}
-
-// keyCountingVec counts System.Key calls.
-type keyCountingVec struct {
-	*Vec
-	keys int
-}
-
-func (k *keyCountingVec) Key(s State) uint64 {
-	k.keys++
-	return k.Vec.Key(s)
-}
-
-// TestPruneNeverHashes checks that only the classic algorithm hashes
-// states: its duplicate filter is the one reader of the state-hash
-// buckets, so the pruning search must not build them.
-func TestPruneNeverHashes(t *testing.T) {
-	for _, useIndex := range []bool{false, true} {
-		v := &keyCountingVec{Vec: wideLoop()}
-		if _, err := Explore(v, Options{Prune: true, Accelerate: true, UseIndex: useIndex}); err != nil {
-			t.Fatal(err)
-		}
-		if v.keys != 0 {
-			t.Errorf("UseIndex=%v: pruning search hashed %d states", useIndex, v.keys)
-		}
-	}
-	v := &keyCountingVec{Vec: wideLoop()}
-	if _, err := Explore(v, Options{Accelerate: true}); err != nil {
-		t.Fatal(err)
-	}
-	if v.keys == 0 {
-		t.Error("classic search never hashed a state")
 	}
 }

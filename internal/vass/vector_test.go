@@ -69,30 +69,6 @@ func (v *Vec) Successors(s State) []Succ {
 	return out
 }
 
-// Key implements System.
-func (v *Vec) Key(s State) uint64 {
-	c := s.(VConfig)
-	h := uint64(c.Loc) + 0x9e3779b97f4a7c15
-	for _, x := range c.C {
-		h ^= uint64(x) + 0x9e3779b97f4a7c15 + (h << 6) + (h >> 2)
-	}
-	return h
-}
-
-// Equal implements System.
-func (v *Vec) Equal(a, b State) bool {
-	ca, cb := a.(VConfig), b.(VConfig)
-	if ca.Loc != cb.Loc {
-		return false
-	}
-	for d := range ca.C {
-		if ca.C[d] != cb.C[d] {
-			return false
-		}
-	}
-	return true
-}
-
 // Leq implements System: same location, counters pointwise ≤.
 func (v *Vec) Leq(a, b State) bool {
 	ca, cb := a.(VConfig), b.(VConfig)
