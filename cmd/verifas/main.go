@@ -287,8 +287,9 @@ func (rf reportFlags) local(sys *has.System, prop *core.Property, engine string,
 		if ps.States == 0 && ps.Elapsed == 0 {
 			return
 		}
-		fmt.Fprintf(&sb, "  %-8s states=%-8d pruned=%-8d skipped=%-8d accel=%-6d %s\n",
-			name, ps.States, ps.Pruned, ps.Skipped, ps.Accelerations, ps.Elapsed.Round(time.Microsecond))
+		fmt.Fprintf(&sb, "  %-8s states=%-8d pruned=%-8d skipped=%-8d accel=%-6d expansions=%-8d memoized=%-8d %s\n",
+			name, ps.States, ps.Pruned, ps.Skipped, ps.Accelerations, ps.Expansions, ps.ExpansionsMemoized,
+			ps.Elapsed.Round(time.Microsecond))
 	}
 	printPhase("reach", res.Stats.Reachability)
 	printPhase("rr", res.Stats.RR)

@@ -53,6 +53,23 @@ func TestEngineSelectsRegistryEngine(t *testing.T) {
 	}
 }
 
+// TestStatsExpansions: -stats prints each search phase's expansions and
+// how many of them the run's successor memo served. take_order_happens
+// runs RR over states phase 1 already expanded, so RR is all memo hits.
+func TestStatsExpansions(t *testing.T) {
+	code, out, errOut := runCLI(t, "-stats", "-prop", "take_order_happens", orderSpec)
+	if code != 0 {
+		t.Fatalf("exit %d\n%s%s", code, out, errOut)
+	}
+	m := regexp.MustCompile(`(?m)^  rr +states=.* expansions=(\d+) +memoized=(\d+) `).FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("no rr line with expansions in:\n%s", out)
+	}
+	if m[1] == "0" || m[1] != m[2] {
+		t.Errorf("rr expansions=%s memoized=%s, want equal and non-zero", m[1], m[2])
+	}
+}
+
 func TestEngineSpinlikeBitstate(t *testing.T) {
 	code, out, errOut := runCLI(t, "-engine", "spinlike-bitstate", "-prop", "take_order_happens", orderSpec)
 	if code == 2 {

@@ -61,7 +61,7 @@ func compileReach(tb testing.TB, sys *has.System, prop *Property, noInterning bo
 // reach set is enumerated regardless of violations.
 func buildReachTree(tb testing.TB, ts *symbolic.TaskSystem, buchi *ltl.Buchi) *vass.Tree {
 	tb.Helper()
-	prod := newProduct(ts, buchi, OrderPrecedes)
+	prod := newProduct(ts, buchi, OrderPrecedes, newSuccMemo())
 	prod.ctx = context.Background()
 	tree, err := vass.Explore(prod, vass.Options{MaxStates: DefaultMaxStates, UseIndex: true})
 	if err != nil {

@@ -46,6 +46,12 @@ type PhaseStats struct {
 	// (the memory-budget accounting estimate, not a heap measurement;
 	// zero for non-search phases).
 	MemBytes int64 `json:"mem_bytes,omitempty"`
+	// Expansions counts the nodes the phase's search expanded.
+	// ExpansionsMemoized counts those whose successor list came from the
+	// run's successor memo, because a structurally equal state had been
+	// expanded before, in this phase or an earlier one.
+	Expansions         int `json:"expansions,omitempty"`
+	ExpansionsMemoized int `json:"expansions_memoized,omitempty"`
 }
 
 // ProgressEvent is a periodic snapshot of a running search phase, emitted

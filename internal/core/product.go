@@ -65,14 +65,17 @@ type product struct {
 	// a single highly-branching state cannot delay the search's
 	// cancellation checks indefinitely.
 	ctx context.Context
+	// memo is the run's successor memo, shared with the run's other
+	// product.
+	memo *succMemo
 }
 
 // newProduct precompiles the Büchi states' literals. Atoms must have been
 // validated: every atom is a service atom or a compiled property
-// condition.
-func newProduct(ts *symbolic.TaskSystem, b *ltl.Buchi, order Order) *product {
+// condition. memo is the run's successor memo.
+func newProduct(ts *symbolic.TaskSystem, b *ltl.Buchi, order Order, memo *succMemo) *product {
 	svcAtoms := ts.Task.ServiceAtoms()
-	p := &product{ts: ts, buchi: b, order: order, info: make([]buchiStateInfo, len(b.States))}
+	p := &product{ts: ts, buchi: b, order: order, memo: memo, info: make([]buchiStateInfo, len(b.States))}
 	for i := range b.States {
 		st := &b.States[i]
 		inf := &p.info[i]
@@ -161,16 +164,33 @@ func (p *product) Initial() []vass.State {
 	return out
 }
 
-// Successors implements vass.System.
+// Successors implements vass.System. A state structurally equal to one
+// this run has expanded gets the stored list back; a list cut short by
+// the context is returned but not stored.
 func (p *product) Successors(s vass.State) []vass.Succ {
 	ps := s.(*PState)
+	p.memo.calls++
+	key := memoKey(ps)
+	if out, ok := p.memo.lookup(key, ps); ok {
+		p.memo.hits++
+		return out
+	}
+	out, complete := p.expand(ps)
+	if complete {
+		p.memo.store(key, ps, out, p.StateBytes)
+	}
+	return out
+}
+
+// expand computes succ(ps) and reports whether the list is complete.
+func (p *product) expand(ps *PState) ([]vass.Succ, bool) {
 	if ps.Closed {
-		return nil
+		return nil, true
 	}
 	var out []vass.Succ
 	for _, sc := range p.ts.Successors(ps.PSI) {
 		if p.ctx != nil && p.ctx.Err() != nil {
-			return out // truncated; Verify answers "holds" only if ctx is still live at the end
+			return out, false // truncated; Verify answers "holds" only if ctx is still live at the end
 		}
 		for _, n := range p.buchi.States[ps.Node].Succs {
 			n32 := int32(n)
@@ -189,7 +209,7 @@ func (p *product) Successors(s vass.State) []vass.Succ {
 			}
 		}
 	}
-	return out
+	return out, true
 }
 
 // Leq implements vass.System with the configured order.

@@ -3,14 +3,13 @@ package core
 import (
 	"context"
 
-	"verifas/internal/ltl"
-	"verifas/internal/symbolic"
 	"verifas/internal/vass"
 )
 
 // repeatedReachability implements the infinite-run module (paper Section
-// 3.8): it decides whether an accepting Büchi state is repeatedly
-// reachable, i.e. lies on a cycle of the coverability graph.
+// 3.8) on prod, the run's product under the coverage order ≤: it
+// decides whether an accepting Büchi state is repeatedly reachable, i.e.
+// lies on a cycle of the coverability graph.
 //
 // A ≤-pruned Karp-Miller search with acceleration yields a coverability
 // set, and an accepting state is repeatedly reachable iff it lies on a
@@ -24,8 +23,7 @@ import (
 // completion, and VerdictTimedOut or VerdictBudget when a budget expired
 // mid-search — in that case the caller must finish with that verdict and
 // the stats are partial.
-func repeatedReachability(ctx context.Context, ts *symbolic.TaskSystem, buchi *ltl.Buchi, opts Options, em emitter) (*Violation, PhaseStats, Verdict, error) {
-	prod := newProduct(ts, buchi, OrderLeq)
+func repeatedReachability(ctx context.Context, prod *product, opts Options, em emitter) (*Violation, PhaseStats, Verdict, error) {
 	tree, stats, stop, err := search(ctx, prod, PhaseRR, opts, em, nil, nil)
 	if err != nil || stop != VerdictUnknown {
 		return nil, stats, stop, err
@@ -36,7 +34,8 @@ func repeatedReachability(ctx context.Context, ts *symbolic.TaskSystem, buchi *l
 // cycleViolation extracts an accepting state on a cycle of the RR tree's
 // coverability graph, if any, and builds the counterexample lasso. A tree
 // searched without indexes (Options.NoIndexes) gets its graph from an
-// all-pairs scan.
+// all-pairs scan. The graph reads each active node's successor list from
+// the run's memo, where the RR search stored it.
 func cycleViolation(prod *product, tree *vass.Tree) *Violation {
 	g := tree.CoverGraph(prod)
 	cyc := g.CycleNodes()

@@ -228,10 +228,13 @@ func Verify(ctx context.Context, sys *has.System, prop *Property, opts Options) 
 	// ---- Interning: hash-cons the pisotypes retained in states. Must be
 	// attached before the first Initial()/Successors() call; shared by
 	// every search phase of this run so cross-phase duplicates collapse
-	// too.
+	// too. The successor memo has the same lifetime: both products share
+	// it, so phase 1, RR and RR's coverability graph expand each distinct
+	// product state once.
 	if !opts.NoInterning {
 		ts.SetInterner(symbolic.NewInterner())
 	}
+	memo := newSuccMemo()
 
 	res.Stats.BuchiStates = buchi.NumStates()
 	if opts.MaxStates <= 0 {
@@ -243,7 +246,7 @@ func Verify(ctx context.Context, sys *has.System, prop *Property, opts Options) 
 	if opts.NoStatePruning {
 		order = OrderLeq
 	}
-	prod := newProduct(ts, buchi, order)
+	prod := newProduct(ts, buchi, order, memo)
 
 	var finViolation *vass.Node
 	var pumpAncestor *vass.Node
@@ -296,7 +299,7 @@ func Verify(ctx context.Context, sys *has.System, prop *Property, opts Options) 
 
 	// ---- Phase 2: repeated reachability for infinite-run violations.
 	if !opts.SkipRepeatedReachability && anyAccepting {
-		v, rrStats, stop, err := repeatedReachability(ctx, ts, buchi, opts, em)
+		v, rrStats, stop, err := repeatedReachability(ctx, newProduct(ts, buchi, OrderLeq, memo), opts, em)
 		res.Stats.RR = rrStats
 		if err != nil {
 			return nil, err
@@ -331,12 +334,13 @@ func search(ctx context.Context, prod *product, phase Phase, opts Options, em em
 	onNode func(*vass.Node) bool, onAccelerate func(*vass.Node, vass.State) bool) (*vass.Tree, PhaseStats, Verdict, error) {
 	prod.ctx = ctx
 	start := time.Now()
+	calls, hits := prod.memo.calls, prod.memo.hits
 	em.phaseStart(phase)
 	tree, err := vass.Explore(prod, vass.Options{
 		UseIndex:       !opts.NoIndexes,
 		MaxStates:      opts.MaxStates,
 		MaxMemBytes:    opts.MaxMemBytes,
-		MemExtra:       internerExtra(prod.ts),
+		MemExtra:       memExtra(prod),
 		Ctx:            ctx,
 		OnProgress:     em.searchProgress(phase),
 		ProgressStride: em.stride,
@@ -344,6 +348,8 @@ func search(ctx context.Context, prod *product, phase Phase, opts Options, em em
 		OnAccelerate:   onAccelerate,
 	})
 	stats := treeStats(tree, start)
+	stats.Expansions = prod.memo.calls - calls
+	stats.ExpansionsMemoized = prod.memo.hits - hits
 	em.phaseEnd(phase, stats)
 	stop, err := stopVerdict(err)
 	return tree, stats, stop, err
@@ -378,16 +384,13 @@ func treeStats(t *vass.Tree, start time.Time) PhaseStats {
 	}
 }
 
-// internerExtra returns the shared intern-table byte accounting for the
-// memory budget (vass.Options.MemExtra), or nil when interning is off —
-// per-state estimates exclude interned types, so the table is charged
-// exactly once here.
-func internerExtra(ts *symbolic.TaskSystem) func() int64 {
-	in := ts.Interner()
-	if in == nil {
-		return nil
-	}
-	return in.Bytes
+// memExtra returns the retention outside the search tree charged
+// against the memory budget (vass.Options.MemExtra): the shared intern
+// table, absent when interning is off (per-state estimates then include
+// the types), plus the run's successor memo.
+func memExtra(prod *product) func() int64 {
+	in := prod.ts.Interner()
+	return func() int64 { return in.Bytes() + prod.memo.bytes }
 }
 
 // ValidateProperty resolves the property's task and type-checks the

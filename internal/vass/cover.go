@@ -29,12 +29,14 @@ type coverEdge struct {
 }
 
 // CoverGraph builds the coverability graph over the tree's active nodes,
-// computing each node's successors once; sys is the system the tree was
-// searched with. A tree searched with Options.UseIndex draws the covering
-// candidates of a successor from the search's own index, whose subset
-// side holds exactly the active nodes, and confirms them by Leq; a tree
-// searched without it tests every active node. Both give the same edges
-// in the same order.
+// asking sys once for each node's successors; sys is the system the tree
+// was searched with. Every active node was expanded by the search, so a
+// System that memoizes its lists (the verifier's product does, per run)
+// serves the graph from them without computing any list again. A tree
+// searched with Options.UseIndex draws the covering candidates of a
+// successor from the search's own index, whose subset side holds exactly
+// the active nodes, and confirms them by Leq; a tree searched without it
+// tests every active node. Both give the same edges in the same order.
 func (t *Tree) CoverGraph(sys System) *CoverGraph {
 	nodes := t.Active()
 	g := &CoverGraph{

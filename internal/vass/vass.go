@@ -25,7 +25,9 @@ type Succ struct {
 type System interface {
 	// Initial returns the initial states.
 	Initial() []State
-	// Successors enumerates succ(s).
+	// Successors enumerates succ(s). The returned slice and its states
+	// may be shared between calls (a System may return the same list
+	// for equal states), so callers must not modify them.
 	Successors(s State) []Succ
 	// Leq is the pruning/coverage order in force (≤ or ⪯ depending on
 	// the optimization configuration).
@@ -66,6 +68,9 @@ type Node struct {
 	// subtreeKilled caches that this node and every descendant are
 	// inactive, making repeated deactivation sweeps O(1).
 	subtreeKilled bool
+	// chainStamp equals explorer.stamp while the node lies on the
+	// ancestor chain of explorer.stamped (see explorer.onChain).
+	chainStamp uint32
 }
 
 // nodeArena hands out Node values from fixed-size blocks. Blocks are
@@ -335,6 +340,10 @@ type explorer struct {
 	arena nodeArena
 	// sized is non-nil when the System reports per-state byte estimates.
 	sized Sized
+	// stamped is the last node whose ancestor chain was stamped, with
+	// stamp (see onChain).
+	stamped *Node
+	stamp   uint32
 }
 
 // memTotal is the budget-accounting sum: the tree estimate plus shared
@@ -396,7 +405,7 @@ func (e *explorer) newNode(s State, label any, parent *Node) *Node {
 		if m.subtreeKilled || !e.sys.Leq(m.S, s) {
 			return
 		}
-		if m.Active || parent == nil || !m.IsAncestorOf(parent) {
+		if m.Active || parent == nil || !e.onChain(m, parent) {
 			e.deactivateSubtree(m)
 		}
 	})
@@ -431,6 +440,22 @@ func (e *explorer) newNode(s State, label any, parent *Node) *Node {
 		e.stop = true
 	}
 	return n
+}
+
+// onChain reports m.IsAncestorOf(parent). The first call for a parent
+// stamps the parent's ancestor chain; later calls for the same parent,
+// from its other dominated nodes and its other successors, compare one
+// stamp instead of walking the chain again. Ancestry never changes, so
+// a stamp stays valid until the next parent is stamped.
+func (e *explorer) onChain(m, parent *Node) bool {
+	if e.stamped != parent {
+		e.stamped = parent
+		e.stamp++
+		for a := parent; a != nil; a = a.Parent {
+			a.chainStamp = e.stamp
+		}
+	}
+	return m.chainStamp == e.stamp
 }
 
 func (e *explorer) deactivateSubtree(m *Node) {
